@@ -18,7 +18,7 @@ from functools import cached_property
 from itertools import product
 from typing import Iterable, Iterator
 
-from .dilworth import decomposition_into_exactly
+from .dilworth import ChainDecomposition, decomposition_into_exactly
 from .errors import FormatError, LimitError, MemoryLimitError
 from .poset import Embedding, Poset, SubsetMask, mask_from_text, mask_to_text
 
@@ -273,15 +273,21 @@ def member_of_chain_family(
     return any(is_cell_prefix_union(t.bits, c) for c in partitions(n, a))
 
 
-def embed_bounded_antichain(p: Poset, a: int) -> Embedding:
+def embed_bounded_antichain(
+    p: Poset, a: int, dec: ChainDecomposition | None = None
+) -> Embedding:
     """Embed a poset of width at most a into the chain family over [n].
 
-    Elements are renamed along the canonical minimum chain cover, cell i
-    holding chain i; the image of an element takes from each cell the
-    prefix covering the part of its downset lying on that chain.  Images
-    are therefore per-cell prefix unions for the cover's own partition.
+    Elements are renamed along a chain cover of p into at most a chains,
+    by default the canonical minimum one, cell i holding chain i; the
+    image of an element takes from each cell the prefix covering the part
+    of its downset lying on that chain.  Images are therefore per-cell
+    prefix unions for the cover's own partition.
     """
-    dec = decomposition_into_exactly(p, a)
+    if dec is None:
+        dec = decomposition_into_exactly(p, a)
+    elif dec.poset != p or dec.width > a:
+        raise ValueError(f"need a cover of this poset into at most {a} chains")
     offsets = []
     chain_masks = []
     total = 0

@@ -49,7 +49,6 @@ class Config:
     n_range: tuple[int, int] | None
     a: int | None
     cap: int
-    seed: int
     in_path: str | None
     out_path: str | None
     list_items: bool
@@ -90,12 +89,6 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="posetcube", description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="seed reserved for sampling extensions; current commands are deterministic",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     family = sub.add_parser("family", help="materialize the chain family over [n]")
@@ -135,7 +128,6 @@ def _config(args: argparse.Namespace) -> Config:
         n_range=getattr(args, "n", None),
         a=getattr(args, "a", None),
         cap=getattr(args, "cap", DEFAULT_MAX_SETS),
-        seed=args.seed,
         in_path=getattr(args, "in_path", None),
         out_path=getattr(args, "out", None),
         list_items=getattr(args, "list_items", False),

@@ -4,13 +4,25 @@ A strict order on n elements induces a bipartite graph on two copies of
 the element set with an edge (u, v) whenever u < v.  A maximum matching
 there merges elements into paths, giving a partition into n - (matching
 size) chains, which is optimal; the dual vertex cover yields a maximum
-antichain of exactly that many elements.  Matching is Hopcroft-Karp, so
-the whole decomposition costs O(E * sqrt(n)) with bitmask adjacency.
+antichain of exactly that many elements.  The chains determine the
+matching, so one matching per poset gives both (Fulkerson 1956).
+
+Matching is Hopcroft-Karp on bitmask rows.  Each phase builds its BFS
+layers from whole frontiers: the union of succ[u] over one layer, minus
+the right vertices already seen, is the next layer of right vertices, so
+every right vertex is touched once per phase.  The augmenting search is
+an iterative DFS, so path length is bounded by memory, not by the
+interpreter's recursion limit.  It takes the candidates of u, lowest
+first, from succ[u] restricted to free right vertices and to those
+whose mate lies one layer deeper, and re-checks that layer when a
+candidate is taken, because dead ends leave the layer masks stale.  The
+first phase, where every left vertex is free, is the greedy seed.  The
+mate arrays, and so the chains, are the same as a recursive DFS over
+succ[u] in ascending order gives.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -53,6 +65,39 @@ class ChainDecomposition:
     def lengths(self) -> tuple[int, ...]:
         return tuple(len(chain) for chain in self.chains)
 
+    @cached_property
+    def antichain(self) -> frozenset[int]:
+        """The antichain dual to the matching these chains encode.
+
+        Consecutive chain elements are the matched pairs and the top of
+        each chain is an unmatched left vertex.  Alternating reachability
+        from those gives a König vertex cover; the elements kept out of it
+        on both sides are pairwise incomparable for any cover, and there
+        are `width` of them, a maximum antichain, when the cover is minimum.
+        """
+        succ = self.poset.succ
+        mate_right = [NO_MATE] * self.poset.n
+        frontier = 0
+        for chain in self.chains:
+            for u, v in zip(chain, chain[1:]):
+                mate_right[v] = u
+            frontier |= 1 << chain[-1]
+        reach_left = frontier
+        reach_right = 0
+        while frontier:
+            new_right = 0
+            for u in bit_indices(frontier):
+                new_right |= succ[u]
+            new_right &= ~reach_right
+            reach_right |= new_right
+            frontier = 0
+            for v in bit_indices(new_right):
+                if mate_right[v] != NO_MATE:
+                    frontier |= 1 << mate_right[v]
+            reach_left |= frontier
+        # cover = (left not reached) + (right reached); the antichain is the rest
+        return frozenset(bit_indices(reach_left & ~reach_right))
+
 
 def _hopcroft_karp(n: int, succ: tuple[int, ...]) -> tuple[list[int], list[int]]:
     """Maximum matching in the split bipartite graph of a strict order.
@@ -64,43 +109,67 @@ def _hopcroft_karp(n: int, succ: tuple[int, ...]) -> tuple[list[int], list[int]]
     mate_left = [NO_MATE] * n
     mate_right = [NO_MATE] * n
     inf = n + 1
-    dist = [0] * n
-
-    def bfs() -> bool:
-        queue = deque()
-        for u in range(n):
-            if mate_left[u] == NO_MATE:
-                dist[u] = 0
-                queue.append(u)
-            else:
-                dist[u] = inf
-        found = False
-        while queue:
-            u = queue.popleft()
-            for v in bit_indices(succ[u]):
+    free_right = (1 << n) - 1
+    while True:
+        # BFS: dist of every left vertex reachable from a free one, and
+        # layer[d], the right vertices whose mate sits at distance d
+        dist = [inf] * n
+        frontier = [u for u in range(n) if mate_left[u] == NO_MATE]
+        layer = [0]
+        seen_right = 0
+        while frontier:
+            depth = len(layer) - 1
+            reach = 0
+            for u in frontier:
+                dist[u] = depth
+                reach |= succ[u]
+            reach &= ~seen_right
+            seen_right |= reach
+            matched = reach & ~free_right
+            layer.append(matched)
+            frontier = [mate_right[v] for v in bit_indices(matched)]
+        if not seen_right & free_right:
+            return mate_left, mate_right
+        for root in range(n):
+            if mate_left[root] != NO_MATE:
+                continue
+            # path[i] is the left vertex at depth i, via[i] the right vertex
+            # that leads on from it, todo[i] its candidates not yet tried
+            path = [root]
+            via: list[int] = []
+            todo = [succ[root] & (free_right | layer[1])]
+            while path:
+                u = path[-1]
+                pending = todo[-1]
+                if not pending:
+                    # dead end: u leaves its layer for the rest of the phase
+                    if mate_left[u] != NO_MATE:
+                        layer[dist[u]] &= ~(1 << mate_left[u])
+                    dist[u] = inf
+                    path.pop()
+                    todo.pop()
+                    if via:
+                        via.pop()
+                    continue
+                lsb = pending & -pending
+                todo[-1] = pending ^ lsb
+                v = lsb.bit_length() - 1
                 w = mate_right[v]
                 if w == NO_MATE:
-                    found = True
-                elif dist[w] == inf:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        return found
-
-    def dfs(u: int) -> bool:
-        for v in bit_indices(succ[u]):
-            w = mate_right[v]
-            if w == NO_MATE or (dist[w] == dist[u] + 1 and dfs(w)):
-                mate_left[u] = v
-                mate_right[v] = u
-                return True
-        dist[u] = inf
-        return False
-
-    while bfs():
-        for u in range(n):
-            if mate_left[u] == NO_MATE:
-                dfs(u)
-    return mate_left, mate_right
+                    free_right ^= lsb
+                    via.append(v)
+                    for depth, (x, y) in enumerate(zip(path, via)):
+                        mate_left[x] = y
+                        mate_right[y] = x
+                        layer[depth] |= 1 << y
+                        if depth + 1 < len(path):
+                            layer[depth + 1] &= ~(1 << y)
+                    break
+                depth = dist[u] + 1
+                if dist[w] == depth:
+                    path.append(w)
+                    via.append(v)
+                    todo.append(succ[w] & (free_right | layer[depth + 1]))
 
 
 def _sorted_chains(chains: list[list[int]]) -> tuple[tuple[int, ...], ...]:
@@ -126,32 +195,8 @@ def min_chain_decomposition(p: Poset) -> ChainDecomposition:
 
 
 def max_antichain(p: Poset) -> frozenset[int]:
-    """A maximum antichain of p, via the matching dual.
-
-    Alternating reachability from unmatched left vertices gives a minimum
-    vertex cover; the elements kept out of the cover on both sides are
-    pairwise incomparable and there are exactly width(p) of them.
-    """
-    n = p.n
-    mate_left, mate_right = _hopcroft_karp(n, p.succ)
-    reach_left = 0
-    queue = deque()
-    for u in range(n):
-        if mate_left[u] == NO_MATE:
-            reach_left |= 1 << u
-            queue.append(u)
-    reach_right = 0
-    while queue:
-        u = queue.popleft()
-        for v in bit_indices(p.succ[u] & ~reach_right):
-            reach_right |= 1 << v
-            w = mate_right[v]
-            if w != NO_MATE and not (reach_left >> w) & 1:
-                reach_left |= 1 << w
-                queue.append(w)
-    # cover = (left not reached) + (right reached); the antichain is the rest
-    antichain = reach_left & ~reach_right
-    return frozenset(bit_indices(antichain))
+    """A maximum antichain of p, dual to its minimum chain cover."""
+    return min_chain_decomposition(p).antichain
 
 
 def decomposition_into_exactly(p: Poset, a: int) -> ChainDecomposition:

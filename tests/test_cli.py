@@ -6,6 +6,7 @@ import pytest
 
 from posetcube import Poset, chain_family, parse_embedding, random_poset, write_poset
 from posetcube.cli import main
+from helpers import fence_poset
 
 CHAIN5 = "5\n0 < 1\n1 < 2\n2 < 3\n3 < 4\n"
 ANTI5 = "5\n"
@@ -69,6 +70,14 @@ class TestEmbedCommand:
         emb = parse_embedding(out.read_text())
         assert emb.n == 5
         assert capsys.readouterr().out == "branch=chain-cover\nVERIFIED\n"
+
+    def test_long_augmenting_path_verified(self, tmp_path, capsys):
+        path = tmp_path / "fence.poset"
+        path.write_text(write_poset(fence_poset(1200)))
+        out = tmp_path / "fence.cert"
+        assert main(["embed", "--in", str(path), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == "branch=antichain-labels\nVERIFIED\n"
+        assert parse_embedding(out.read_text()).n == 2402
 
     def test_cycle_exits_one(self, tmp_path, capsys):
         path = tmp_path / "bad.poset"
@@ -173,6 +182,6 @@ class TestUsageErrors:
     def test_empty_range(self, capsys):
         assert main(["stats", "--n", "6..4"]) == 1
 
-    def test_seed_flag_accepted(self, capsys):
-        assert main(["--seed", "7", "partitions", "--n", "3"]) == 0
-        assert capsys.readouterr().out == "3\n"
+    def test_seed_flag_rejected(self, capsys):
+        assert main(["--seed", "7", "partitions", "--n", "3"]) == 1
+        assert capsys.readouterr().out == ""

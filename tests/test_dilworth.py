@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from posetcube import (
@@ -18,7 +18,12 @@ from posetcube import (
     random_poset,
 )
 from posetcube.dilworth import _hopcroft_karp
-from helpers import has_augmenting_path
+from helpers import (
+    fence_poset,
+    has_augmenting_path,
+    hopcroft_karp_reference,
+    konig_antichain_reference,
+)
 
 
 class TestMinChainDecomposition:
@@ -94,6 +99,24 @@ class TestMatchingMaximality:
             p = random_poset(14, 0.25, seed)
             mate_left, mate_right = _hopcroft_karp(p.n, p.succ)
             assert not has_augmenting_path(p.n, p.succ, mate_left, mate_right)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 70), st.floats(0.0, 1.0), st.integers(0, 2**32))
+    @example(0, 0.5, 0)
+    @example(1, 0.5, 0)
+    @example(7, 1.0, 3)
+    @example(70, 0.0, 5)
+    @example(70, 0.05, 11)
+    def test_same_mates_as_the_reference(self, n, prob, seed):
+        p = random_poset(n, prob, seed)
+        mates = _hopcroft_karp(p.n, p.succ)
+        assert mates == hopcroft_karp_reference(p.n, p.succ)
+        assert max_antichain(p) == konig_antichain_reference(p.n, p.succ, *mates)
+
+    def test_augmenting_path_through_every_element(self):
+        # the recursive search would nest 1200 calls deep here
+        p = fence_poset(1200)
+        assert len(max_antichain(p)) == min_chain_decomposition(p).width == 1201
 
 
 class TestDecompositionIntoExactly:

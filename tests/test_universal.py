@@ -30,6 +30,7 @@ from posetcube import (
     write_embedding,
 )
 from posetcube.universal import BRANCH_ANTICHAIN, BRANCH_CHAIN, BRANCH_FOLKLORE
+from helpers import fence_poset
 
 
 class TestBuildUniversal:
@@ -146,6 +147,14 @@ class TestEmbed:
             branches.add(branch)
             assert all(membership(u, SubsetMask(4, bits)) for bits in emb.masks)
         assert branches == {BRANCH_CHAIN, BRANCH_ANTICHAIN}
+
+    def test_long_augmenting_path(self):
+        p = fence_poset(1200)
+        u = build_universal(p.n)
+        emb, branch = embed_with_branch(u, p)
+        assert branch == BRANCH_ANTICHAIN
+        assert emb.n == p.n
+        assert all(bits >> u.m == 0 for bits in emb.masks)
 
     def test_size_mismatch(self):
         with pytest.raises(SizeMismatchError):
