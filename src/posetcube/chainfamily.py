@@ -15,7 +15,6 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 from typing import Iterable, Iterator
 
 from .dilworth import ChainDecomposition, decomposition_into_exactly
@@ -113,12 +112,9 @@ class SetFamily:
     def __iter__(self) -> Iterator[SubsetMask]:
         return (SubsetMask(self.m, bits) for bits in self.masks)
 
-    def contains_mask(self, bits: int) -> bool:
-        i = bisect_left(self.masks, bits)
-        return i < len(self.masks) and self.masks[i] == bits
-
     def __contains__(self, item: SubsetMask) -> bool:
-        return item.m == self.m and self.contains_mask(item.bits)
+        i = bisect_left(self.masks, item.bits)
+        return item.m == self.m and i < len(self.masks) and self.masks[i] == item.bits
 
     def count_within(self, m: int) -> int:
         """How many member sets fit inside the smaller ground set [m]."""
@@ -187,32 +183,27 @@ def hardy_ramanujan(n: int) -> float:
     return math.exp(math.pi * math.sqrt(2.0 * n / 3.0)) / (4.0 * math.sqrt(3.0) * n)
 
 
-def _prefix_choices(c: PartitionSeq) -> list[list[int]]:
-    """Per cell, the masks of its prefixes (empty through full)."""
-    choices = []
+def _family_masks(c: PartitionSeq) -> list[int]:
+    """The per-cell prefix sets of one partition, in increasing mask order.
+
+    Built one cell at a time from the low bits up: every prefix of a new
+    cell lies above all bits placed so far, so with the prefixes in the
+    outer loop the list stays sorted.
+    """
+    masks = [0]
     lo = 0
     for part in c:
-        cell = [0]
-        mask = 0
-        for pos in range(lo, lo + part):
-            mask |= 1 << pos
-            cell.append(mask)
-        choices.append(cell)
+        prefixes = [((1 << k) - 1) << lo for k in range(part + 1)]
+        masks = [mask | prefix for prefix in prefixes for mask in masks]
         lo += part
-    return choices
-
-
-def _family_masks(c: PartitionSeq) -> Iterator[int]:
-    """Stream the per-cell prefix sets of one partition, one mask each."""
-    for combo in product(*_prefix_choices(c)):
-        yield sum(combo)  # cells are disjoint, sum is union
+    return masks
 
 
 def family_for_partition(n: int, c: PartitionSeq) -> SetFamily:
     """All subsets of [n] meeting every cell of c in a prefix."""
     if c.n != n:
         raise ValueError(f"partition sums to {c.n}, not {n}")
-    return SetFamily(n, tuple(sorted(_family_masks(c))))
+    return SetFamily(n, tuple(_family_masks(c)))
 
 
 def _balanced_product(n: int, a: int) -> int:
@@ -236,8 +227,7 @@ def chain_family(n: int, a: int, *, max_sets: int = DEFAULT_MAX_SETS) -> SetFami
         )
     seen: set[int] = set()
     for c in partitions(n, a):
-        for mask in _family_masks(c):
-            seen.add(mask)
+        seen.update(_family_masks(c))
         if len(seen) > max_sets:
             raise MemoryLimitError(
                 f"chain family for n={n}, a={a} exceeds {max_sets} sets"

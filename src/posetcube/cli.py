@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -42,32 +41,6 @@ EXIT_CAP = 2
 EXIT_VERIFY = 3
 
 
-@dataclass(frozen=True)
-class Config:
-    """Validated command configuration shared by all subcommands."""
-
-    n_range: tuple[int, int] | None
-    a: int | None
-    cap: int
-    in_path: str | None
-    out_path: str | None
-    list_items: bool
-
-    def __post_init__(self) -> None:
-        if self.cap < 0:
-            raise ValueError("cap must be non-negative")
-        if self.n_range is not None and self.n_range[0] > self.n_range[1]:
-            raise ValueError("empty n range")
-
-    @property
-    def n(self) -> int:
-        assert self.n_range is not None
-        lo, hi = self.n_range
-        if lo != hi:
-            raise ValueError("this command takes a single n, not a range")
-        return lo
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on usage errors; we reserve 2 for caps."""
 
@@ -77,14 +50,33 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    """Accept a single count or an inclusive 'A..B' span."""
+    """Accept a single count or a non-empty inclusive 'A..B' span."""
     lo, sep, hi = text.partition("..")
     try:
-        if sep:
-            return int(lo), int(hi)
-        return int(text), int(text)
+        span = (int(lo), int(hi)) if sep else (int(text), int(text))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected N or A..B, got {text!r}") from None
+    if span[0] > span[1]:
+        raise argparse.ArgumentTypeError(f"empty n range {text!r}")
+    return span
+
+
+def _parse_cap(text: str) -> int:
+    """A non-negative set-count limit."""
+    try:
+        cap = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if cap < 0:
+        raise argparse.ArgumentTypeError("cap must be non-negative")
+    return cap
+
+
+def _single_n(args: argparse.Namespace) -> int:
+    lo, hi = args.n
+    if lo != hi:
+        raise ValueError("this command takes a single n, not a range")
+    return lo
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -94,14 +86,13 @@ def build_parser() -> argparse.ArgumentParser:
     family = sub.add_parser("family", help="materialize the chain family over [n]")
     family.add_argument("--n", type=_parse_range, required=True)
     family.add_argument("--a", type=int, default=None)
-    family.add_argument("--cap", type=int, default=DEFAULT_MAX_SETS)
+    family.add_argument("--cap", type=_parse_cap, default=DEFAULT_MAX_SETS)
     family.add_argument("--out", default=None)
     family.set_defaults(handler=cmd_family)
 
     embed = sub.add_parser("embed", help="embed a poset file, emit a verified certificate")
     embed.add_argument("--in", dest="in_path", required=True)
     embed.add_argument("--a", type=int, default=None)
-    embed.add_argument("--cap", type=int, default=DEFAULT_MAX_SETS)
     embed.add_argument("--out", default=None)
     embed.set_defaults(handler=cmd_embed)
 
@@ -112,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     stats = sub.add_parser("stats", help="family size against the bound, per n")
     stats.add_argument("--n", type=_parse_range, required=True, metavar="N or A..B")
     stats.add_argument("--a", type=int, default=None)
-    stats.add_argument("--cap", type=int, default=DEFAULT_MAX_SETS)
+    stats.add_argument("--cap", type=_parse_cap, default=DEFAULT_MAX_SETS)
     stats.set_defaults(handler=cmd_stats)
 
     parts = sub.add_parser("partitions", help="partition count, optionally the stream")
@@ -123,17 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config(args: argparse.Namespace) -> Config:
-    return Config(
-        n_range=getattr(args, "n", None),
-        a=getattr(args, "a", None),
-        cap=getattr(args, "cap", DEFAULT_MAX_SETS),
-        in_path=getattr(args, "in_path", None),
-        out_path=getattr(args, "out", None),
-        list_items=getattr(args, "list_items", False),
-    )
-
-
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
@@ -141,31 +121,29 @@ def _emit(text: str, out_path: str | None) -> None:
         Path(out_path).write_text(text)
 
 
-def cmd_family(cfg: Config) -> int:
-    n = cfg.n
+def cmd_family(args: argparse.Namespace) -> int:
+    n = _single_n(args)
     if n < 1:
         raise ValueError("need at least one element")
-    a = cfg.a if cfg.a is not None else default_antichain_budget(n)
-    fam = chain_family(n, a, max_sets=cfg.cap)
-    _emit(write_family(fam), cfg.out_path)
+    a = args.a if args.a is not None else default_antichain_budget(n)
+    fam = chain_family(n, a, max_sets=args.cap)
+    _emit(write_family(fam), args.out)
     return EXIT_OK
 
 
-def cmd_embed(cfg: Config) -> int:
-    text = Path(cfg.in_path).read_text()
-    p = parse_poset(text)
+def cmd_embed(args: argparse.Namespace) -> int:
+    p = parse_poset(Path(args.in_path).read_text())
     if p.n < 1:
         raise ValueError("cannot embed the empty poset")
-    u = build_universal(p.n, cfg.a, max_sets=cfg.cap)
-    emb, branch = embed_with_branch(u, p)
-    _emit(write_embedding(emb), cfg.out_path)
+    emb, branch = embed_with_branch(build_universal(p.n, args.a), p)
+    _emit(write_embedding(emb), args.out)
     print(f"branch={branch}")
     print("VERIFIED")
     return EXIT_OK
 
 
-def cmd_verify_all(cfg: Config) -> int:
-    report = verify_universality(cfg.n)
+def cmd_verify_all(args: argparse.Namespace) -> int:
+    report = verify_universality(_single_n(args))
     print(f"{report.passed}/{report.total}")
     print(
         f"chain-cover={report.chain_cover}"
@@ -175,38 +153,36 @@ def cmd_verify_all(cfg: Config) -> int:
     return EXIT_OK if report.failed == 0 else EXIT_VERIFY
 
 
-def cmd_stats(cfg: Config) -> int:
-    lo, hi = cfg.n_range
+def cmd_stats(args: argparse.Namespace) -> int:
+    lo, hi = args.n
     if lo < 1:
         raise ValueError("need at least one element")
     blocks = []
     for n in range(lo, hi + 1):
-        u = build_universal(n, cfg.a, max_sets=cfg.cap)
+        u = build_universal(n, args.a)
         lines = [f"n={n}", f"a={u.a}", f"ell={u.ell}", f"m={u.m}"]
-        bound = size_bound(n, u.a)
-        if u.materialized:
-            card = cardinality(u)
+        try:
+            card = cardinality(u, max_sets=args.cap)
+        except MemoryLimitError:
+            card = None
+        lines.append(f"cardinality={'predicate-only' if card is None else card}")
+        lines.append(f"size_bound={size_bound(n, u.a)}")
+        lines.append(f"pow2_n={1 << n}")
+        if card is not None:
             bits = math.log2(card)
-            lines.append(f"cardinality={card}")
-            lines.append(f"size_bound={bound}")
-            lines.append(f"pow2_n={1 << n}")
             lines.append(f"ratio_bits={bits / n:.6f}")
             lines.append(f"excess_bits={(bits - 2 * n / 3) / math.sqrt(n):.6f}")
-        else:
-            lines.append("cardinality=predicate-only")
-            lines.append(f"size_bound={bound}")
-            lines.append(f"pow2_n={1 << n}")
         blocks.append("\n".join(lines))
     print("\n\n".join(blocks))
     return EXIT_OK
 
 
-def cmd_partitions(cfg: Config) -> int:
-    n = cfg.n
+def cmd_partitions(args: argparse.Namespace) -> int:
+    n = _single_n(args)
     if n < 0:
         raise ValueError("need a non-negative count")
     print(partition_count(n))
-    if cfg.list_items:
+    if args.list_items:
         for c in partitions(n, max(n, 0)):
             print(",".join(str(part) for part in c.parts) or "-")
     return EXIT_OK
@@ -219,7 +195,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.handler(_config(args))
+        return args.handler(args)
     except MemoryLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from .antichain import embed_with_antichain, min_ell
 from .chainfamily import (
     DEFAULT_MAX_SETS,
-    SetFamily,
     PartitionSeq,
     chain_family,
     embed_bounded_antichain,
@@ -32,7 +31,6 @@ from .dilworth import max_antichain  # noqa: F401
 from .errors import (
     FormatError,
     LimitError,
-    MemoryLimitError,
     SizeMismatchError,
     VerificationError,
 )
@@ -66,29 +64,21 @@ def default_antichain_budget(n: int) -> int:
 class UniversalFamily:
     """A family of subsets of [n] containing every n-element poset.
 
-    The explicit part is the chain family over [n] (None when it would
-    exceed the materialization cap, in which case membership falls back
-    to the partition-scan predicate).  The implicit part is the full
-    lattice over [m] and is never materialized.  For a < 2 the label
-    construction is unavailable and the family degrades to the whole of
-    2^[n], encoded by m = n.
+    The family is a formula fixed by (n, a, ell, m); nothing is
+    materialized.  Its chain part, chain_family(n, a), is decided by the
+    partition scan and the lattice part is every subset of [m].  For a < 2
+    the label construction is unavailable and the family degrades to the
+    whole of 2^[n], encoded by m = n.
     """
 
     n: int
     a: int
     ell: int
     m: int
-    explicit: SetFamily | None
-
-    @property
-    def materialized(self) -> bool:
-        return self.explicit is not None
 
 
-def build_universal(
-    n: int, a: int | None = None, *, max_sets: int = DEFAULT_MAX_SETS
-) -> UniversalFamily:
-    """Assemble the universal family for n-element posets."""
+def build_universal(n: int, a: int | None = None) -> UniversalFamily:
+    """The parameters (n, a, ell, m) of the universal family for n-element posets."""
     if n < 1:
         raise ValueError("need at least one element")
     if a is None:
@@ -96,30 +86,29 @@ def build_universal(
     if not 1 <= a <= n:
         raise ValueError(f"antichain budget {a} outside [1, {n}]")
     ell = min_ell(a)
-    m = n - a + ell if a >= 2 else n
-    try:
-        explicit = chain_family(n, a, max_sets=max_sets)
-    except MemoryLimitError:
-        explicit = None
-    return UniversalFamily(n, a, ell, m, explicit)
+    return UniversalFamily(n, a, ell, n - a + ell if a >= 2 else n)
 
 
 def membership(u: UniversalFamily, t: SubsetMask) -> bool:
-    """Is t a member of the family (either part)?"""
+    """Is t a member of the family?
+
+    Masks inside [m] are in the lattice part; every other mask goes
+    through the partition scan of the chain part (member_of_chain_family,
+    capped at n = PARTITION_SCAN_CAP).
+    """
     if t.m != u.n:
         raise SizeMismatchError(f"mask over [{t.m}] tested against family over [{u.n}]")
-    if t.bits >> u.m == 0:
-        return True
-    if u.explicit is not None:
-        return u.explicit.contains_mask(t.bits)
-    return member_of_chain_family(t, u.n, u.a)
+    return t.bits >> u.m == 0 or member_of_chain_family(t, u.n, u.a)
 
 
-def cardinality(u: UniversalFamily) -> int:
-    """Exact family size: explicit part plus the lattice part, overlap once."""
-    if u.explicit is None:
-        raise LimitError("explicit part is predicate-only, exact count unavailable")
-    return len(u.explicit) + (1 << u.m) - u.explicit.count_within(u.m)
+def cardinality(u: UniversalFamily, *, max_sets: int = DEFAULT_MAX_SETS) -> int:
+    """Exact family size: chain part plus the lattice part, overlap once.
+
+    The chain part is materialized on demand; MemoryLimitError when it
+    would exceed max_sets.
+    """
+    chain = chain_family(u.n, u.a, max_sets=max_sets)
+    return len(chain) + (1 << u.m) - chain.count_within(u.m)
 
 
 def size_bound(n: int, a: int | None = None) -> int:

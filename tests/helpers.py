@@ -186,6 +186,20 @@ def is_prefix_union_naive(elements: set[int], parts) -> bool:
     return True
 
 
+def family_masks_product(parts) -> list[int]:
+    """Per-cell prefix sets of a partition, one product term per combination.
+
+    Each term picks one prefix per cell and sums them (the cells are
+    disjoint); the result is sorted, the order the library promises.
+    """
+    choices = []
+    lo = 0
+    for part in parts:
+        choices.append([sum(1 << pos for pos in range(lo, lo + k)) for k in range(part + 1)])
+        lo += part
+    return sorted(sum(combo) for combo in product(*choices))
+
+
 def naive_chain_family(n: int, a: int, all_partitions) -> set[int]:
     """Materialize the family by filtering all 2^n subsets (small n only)."""
     family = set()

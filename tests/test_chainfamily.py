@@ -33,8 +33,9 @@ from posetcube import (
     random_poset,
     write_family,
 )
-from posetcube.chainfamily import is_cell_prefix_union
+from posetcube.chainfamily import _family_masks, is_cell_prefix_union
 from helpers import (
+    family_masks_product,
     is_prefix_union_naive,
     naive_chain_family,
     partition_count_table,
@@ -150,6 +151,11 @@ class TestFamilyForPartition:
         assert len(fam) == expected
         for s in fam:
             assert is_prefix_union_naive(set(s.elements()), c.parts)
+
+    def test_cell_by_cell_lists_equal_the_product_oracle(self):
+        for n in range(13):
+            for c in partitions(n, n):
+                assert _family_masks(c) == family_masks_product(c.parts), c
 
 
 class TestChainFamily:

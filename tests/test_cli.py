@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+import posetcube.chainfamily
+import posetcube.universal
 from posetcube import Poset, chain_family, parse_embedding, random_poset, write_poset
 from posetcube.cli import main
 from helpers import fence_poset
@@ -99,6 +101,29 @@ class TestEmbedCommand:
         assert main(["embed", "--in", str(path), "--a", "4"]) == 0
         assert capsys.readouterr().out.endswith("VERIFIED\n")
 
+    def test_never_materializes_the_chain_family(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("embed materialized the chain family")
+
+        monkeypatch.setattr(posetcube.chainfamily, "chain_family", refuse)
+        monkeypatch.setattr(posetcube.universal, "chain_family", refuse)
+        path = tmp_path / "p.poset"
+        path.write_text(write_poset(random_poset(22, 0.3, 7)))
+        assert main(["embed", "--in", str(path)]) == 0
+        assert capsys.readouterr().out.endswith("VERIFIED\n")
+
+    def test_thirty_elements(self, tmp_path, capsys):
+        path = tmp_path / "p.poset"
+        path.write_text(write_poset(random_poset(30, 0.2, 11)))
+        out = tmp_path / "p.cert"
+        assert main(["embed", "--in", str(path), "--out", str(out)]) == 0
+        assert capsys.readouterr().out.endswith("VERIFIED\n")
+        assert parse_embedding(out.read_text()).n == 30
+
+    def test_cap_flag_rejected(self, chain_file, capsys):
+        assert main(["embed", "--in", str(chain_file), "--cap", "5"]) == 1
+        assert capsys.readouterr().out == ""
+
 
 class TestVerifyAllCommand:
     def test_three(self, capsys):
@@ -181,6 +206,10 @@ class TestUsageErrors:
 
     def test_empty_range(self, capsys):
         assert main(["stats", "--n", "6..4"]) == 1
+
+    def test_negative_cap(self, capsys):
+        assert main(["stats", "--n", "4", "--cap", "-1"]) == 1
+        assert main(["family", "--n", "4", "--cap", "-1"]) == 1
 
     def test_seed_flag_rejected(self, capsys):
         assert main(["--seed", "7", "partitions", "--n", "3"]) == 1

@@ -10,6 +10,7 @@ from posetcube import (
     Embedding,
     FormatError,
     LimitError,
+    MemoryLimitError,
     Poset,
     SizeMismatchError,
     SubsetMask,
@@ -60,10 +61,6 @@ class TestBuildUniversal:
         with pytest.raises(ValueError):
             build_universal(5, a=6)
 
-    def test_tiny_cap_goes_predicate_only(self):
-        u = build_universal(9, max_sets=3)
-        assert not u.materialized
-
 
 class TestMembership:
     def test_empty_and_full_always_in(self):
@@ -73,20 +70,14 @@ class TestMembership:
             assert membership(u, SubsetMask(n, (1 << n) - 1))
 
     def test_matches_union_of_parts(self):
-        for n in [4, 7, 10, 12]:
-            u = build_universal(n)
+        # every budget for n <= 10, and the default budget at n = 12
+        cases = [(n, a) for n in range(1, 11) for a in range(1, n + 1)] + [(12, None)]
+        for n, a in cases:
+            u = build_universal(n, a)
             explicit = set(chain_family(n, u.a).masks)
             for bits in range(1 << n):
-                expected = bits in explicit or bits >> u.m == 0
-                assert membership(u, SubsetMask(n, bits)) == expected
-
-    def test_predicate_only_agrees_with_materialized(self):
-        lean = build_universal(10, max_sets=3)
-        fat = build_universal(10)
-        assert not lean.materialized and fat.materialized
-        for bits in range(1 << 10):
-            t = SubsetMask(10, bits)
-            assert membership(lean, t) == membership(fat, t)
+                expected = bits >> u.m == 0 or bits in explicit
+                assert membership(u, SubsetMask(n, bits)) == expected, (n, u.a, bits)
 
     def test_ground_set_mismatch(self):
         with pytest.raises(SizeMismatchError):
@@ -97,9 +88,9 @@ class TestCardinality:
     def test_one_element(self):
         assert cardinality(build_universal(1)) == 2
 
-    def test_predicate_only_refuses(self):
-        with pytest.raises(LimitError):
-            cardinality(build_universal(9, max_sets=3))
+    def test_count_over_cap_raises(self):
+        with pytest.raises(MemoryLimitError):
+            cardinality(build_universal(9), max_sets=3)
 
 
 class TestSizeBound:
