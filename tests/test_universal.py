@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,8 +32,9 @@ from posetcube import (
     verify_universality,
     write_embedding,
 )
+from posetcube.chainfamily import partitions
 from posetcube.universal import BRANCH_ANTICHAIN, BRANCH_CHAIN, BRANCH_FOLKLORE
-from helpers import fence_poset
+from helpers import fence_poset, naive_chain_family
 
 
 class TestBuildUniversal:
@@ -61,6 +64,17 @@ class TestBuildUniversal:
         with pytest.raises(ValueError):
             build_universal(5, a=6)
 
+    def test_tiny_cap_goes_predicate_only(self):
+        # the family holds only its parameters, so a cap too small to count
+        # it still leaves membership and embedding working
+        u = build_universal(9)
+        assert [f.name for f in dataclasses.fields(u)] == ["n", "a", "ell", "m"]
+        with pytest.raises(MemoryLimitError):
+            cardinality(u, max_sets=3)
+        assert membership(u, SubsetMask(9, (1 << 9) - 1))
+        emb = embed(u, random_poset(9, 0.3, 1))
+        assert all(membership(u, SubsetMask(9, bits)) for bits in emb.masks)
+
 
 class TestMembership:
     def test_empty_and_full_always_in(self):
@@ -78,6 +92,15 @@ class TestMembership:
             for bits in range(1 << n):
                 expected = bits >> u.m == 0 or bits in explicit
                 assert membership(u, SubsetMask(n, bits)) == expected, (n, u.a, bits)
+
+    def test_predicate_only_agrees_with_materialized(self):
+        # against a family materialized by filtering all 2^n subsets with the
+        # set-based prefix test, sharing no code with the partition scan
+        u = build_universal(10)
+        lattice = set(range(1 << u.m))
+        fat = lattice | naive_chain_family(10, u.a, list(partitions(10, u.a)))
+        for bits in range(1 << 10):
+            assert membership(u, SubsetMask(10, bits)) == (bits in fat), bits
 
     def test_ground_set_mismatch(self):
         with pytest.raises(SizeMismatchError):
