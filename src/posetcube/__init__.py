@@ -3,29 +3,10 @@
 The package builds, for each n, a family of subsets of [n] of size
 roughly 2^(2n/3) that contains an isomorphic copy of every n-element
 poset under set containment, and produces the witnessing embeddings.
+The lower-level pieces stay importable from their own modules.
 """
 
-from .chainfamily import (
-    CellLayout,
-    PartitionSeq,
-    SetFamily,
-    chain_family,
-    embed_bounded_antichain,
-    family_for_partition,
-    hardy_ramanujan,
-    member_of_chain_family,
-    parse_family,
-    partition_count,
-    partitions,
-    write_family,
-)
-from .antichain import AntichainSplit, classify, embed_with_antichain, min_ell
-from .dilworth import (
-    ChainDecomposition,
-    decomposition_into_exactly,
-    max_antichain,
-    min_chain_decomposition,
-)
+from .chainfamily import parse_family, write_family
 from .errors import (
     CycleError,
     FormatError,
@@ -39,21 +20,14 @@ from .errors import (
     VerificationError,
 )
 from .poset import (
-    Embedding,
-    EmbeddingCheck,
     Poset,
     SubsetMask,
     check_embedding,
-    enumerate_posets,
-    folklore_embed,
-    max_antichain_bruteforce,
     parse_poset,
     random_poset,
     write_poset,
 )
 from .universal import (
-    UniversalFamily,
-    UniversalityReport,
     build_universal,
     cardinality,
     embed,
@@ -61,62 +35,35 @@ from .universal import (
     membership,
     parse_embedding,
     size_bound,
-    verify_universality,
     write_embedding,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AntichainSplit",
-    "CellLayout",
-    "ChainDecomposition",
     "CycleError",
-    "Embedding",
-    "EmbeddingCheck",
     "FormatError",
     "InfeasibleError",
     "LimitError",
     "MemoryLimitError",
     "NotAnAntichainError",
-    "PartitionSeq",
     "Poset",
     "PosetCubeError",
-    "SetFamily",
     "SizeError",
     "SizeMismatchError",
     "SubsetMask",
-    "UniversalFamily",
-    "UniversalityReport",
     "VerificationError",
     "build_universal",
     "cardinality",
-    "chain_family",
     "check_embedding",
-    "classify",
-    "decomposition_into_exactly",
     "embed",
-    "embed_bounded_antichain",
-    "embed_with_antichain",
     "embed_with_branch",
-    "enumerate_posets",
-    "family_for_partition",
-    "folklore_embed",
-    "hardy_ramanujan",
-    "max_antichain",
-    "max_antichain_bruteforce",
-    "member_of_chain_family",
     "membership",
-    "min_chain_decomposition",
-    "min_ell",
     "parse_embedding",
     "parse_family",
     "parse_poset",
-    "partition_count",
-    "partitions",
     "random_poset",
     "size_bound",
-    "verify_universality",
     "write_embedding",
     "write_family",
     "write_poset",

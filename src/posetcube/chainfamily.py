@@ -14,12 +14,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator
 
 from .dilworth import ChainDecomposition, decomposition_into_exactly
 from .errors import FormatError, LimitError, MemoryLimitError
-from .poset import Embedding, Poset, SubsetMask, mask_from_text, mask_to_text
+from .poset import MAX_ELEMENTS, Embedding, Poset, SubsetMask, mask_from_text, mask_to_text
 
 PARTITION_SCAN_CAP = 40
 DEFAULT_MAX_SETS = 1 << 24
@@ -51,39 +50,6 @@ class PartitionSeq:
 
     def __str__(self) -> str:
         return "(" + ",".join(str(p) for p in self.parts) + ")"
-
-
-@dataclass(frozen=True)
-class CellLayout:
-    """Consecutive cells of [n] sized by a partition.
-
-    Cell i (1-indexed) covers ground elements boundaries[i-1]+1 through
-    boundaries[i].
-    """
-
-    partition: PartitionSeq
-
-    @cached_property
-    def boundaries(self) -> tuple[int, ...]:
-        acc = [0]
-        for part in self.partition:
-            acc.append(acc[-1] + part)
-        return tuple(acc)
-
-    @property
-    def n(self) -> int:
-        return self.boundaries[-1]
-
-    def cell(self, i: int) -> range:
-        """1-indexed ground elements of cell i (i itself 1-indexed too)."""
-        return range(self.boundaries[i - 1] + 1, self.boundaries[i] + 1)
-
-    def cell_masks(self) -> tuple[int, ...]:
-        """Bitmask of each cell, in cell order."""
-        out = []
-        for lo, hi in zip(self.boundaries, self.boundaries[1:]):
-            out.append(((1 << (hi - lo)) - 1) << lo)
-        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -246,9 +212,7 @@ def is_cell_prefix_union(bits: int, c: PartitionSeq) -> bool:
     return True
 
 
-def member_of_chain_family(
-    t: SubsetMask, n: int, a: int, *, max_n: int = PARTITION_SCAN_CAP
-) -> bool:
+def member_of_chain_family(t: SubsetMask, n: int, a: int) -> bool:
     """Membership in chain_family(n, a) without materializing it.
 
     Scans the partition stream for a layout under which t is a per-cell
@@ -258,8 +222,8 @@ def member_of_chain_family(
         raise ValueError(f"mask over [{t.m}] tested against family over [{n}]")
     if not 1 <= a <= n:
         raise ValueError(f"chain budget {a} outside [1, {n}]")
-    if n > max_n:
-        raise LimitError(f"partition scan capped at n={max_n}, got n={n}")
+    if n > PARTITION_SCAN_CAP:
+        raise LimitError(f"partition scan capped at n={PARTITION_SCAN_CAP}, got n={n}")
     return any(is_cell_prefix_union(t.bits, c) for c in partitions(n, a))
 
 
@@ -325,6 +289,8 @@ def parse_family(text: str) -> SetFamily:
         count = int(header[1][6:])
     except ValueError:
         raise FormatError(f"bad family header {lines[0]!r}") from None
+    if not 0 <= m <= MAX_ELEMENTS:
+        raise FormatError(f"ground set size {m} outside [0, {MAX_ELEMENTS}]")
     body = lines[1:]
     if len(body) != count:
         raise FormatError(f"header promises {count} sets, file has {len(body)}")

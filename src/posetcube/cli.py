@@ -28,7 +28,6 @@ from .poset import parse_poset
 from .universal import (
     build_universal,
     cardinality,
-    default_antichain_budget,
     embed_with_branch,
     size_bound,
     verify_universality,
@@ -123,10 +122,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def cmd_family(args: argparse.Namespace) -> int:
     n = _single_n(args)
-    if n < 1:
-        raise ValueError("need at least one element")
-    a = args.a if args.a is not None else default_antichain_budget(n)
-    fam = chain_family(n, a, max_sets=args.cap)
+    fam = chain_family(n, build_universal(n, args.a).a, max_sets=args.cap)
     _emit(write_family(fam), args.out)
     return EXIT_OK
 
@@ -155,8 +151,6 @@ def cmd_verify_all(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     lo, hi = args.n
-    if lo < 1:
-        raise ValueError("need at least one element")
     blocks = []
     for n in range(lo, hi + 1):
         u = build_universal(n, args.a)
@@ -183,7 +177,7 @@ def cmd_partitions(args: argparse.Namespace) -> int:
         raise ValueError("need a non-negative count")
     print(partition_count(n))
     if args.list_items:
-        for c in partitions(n, max(n, 0)):
+        for c in partitions(n, n):
             print(",".join(str(part) for part in c.parts) or "-")
     return EXIT_OK
 

@@ -18,9 +18,11 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import CycleError, FormatError, LimitError, SizeMismatchError
 
-# Hard caps for the exponential oracles.
+# Hard cap for the exponential enumeration.
 ENUMERATION_CAP = 6
-BRUTE_FORCE_CAP = 20
+# Largest element or ground-set count a file header may declare; parsers
+# reject bigger ones before allocating anything of that size.
+MAX_ELEMENTS = 1 << 16
 
 _PAIR_RE = re.compile(r"^(\d+)\s*<\s*(\d+)$")
 
@@ -130,10 +132,6 @@ class Embedding:
     def image(self, j: int) -> SubsetMask:
         return SubsetMask(self.m, self.masks[j])
 
-    @property
-    def images(self) -> tuple[SubsetMask, ...]:
-        return tuple(SubsetMask(self.m, bits) for bits in self.masks)
-
 
 @dataclass(frozen=True)
 class EmbeddingCheck:
@@ -236,12 +234,6 @@ class Poset:
         """Reflexive comparison u <= v."""
         return u == v or (self.succ[u] >> v) & 1 == 1
 
-    def matrix(self) -> tuple[tuple[bool, ...], ...]:
-        """The strict order as a dense boolean matrix (testing convenience)."""
-        return tuple(
-            tuple((row >> v) & 1 == 1 for v in range(self.n)) for row in self.succ
-        )
-
 
 def transitive_closure(n: int, direct: Sequence[int]) -> list[int]:
     """Close direct successor masks under transitivity via DFS.
@@ -275,11 +267,6 @@ def transitive_closure(n: int, direct: Sequence[int]) -> list[int]:
                 reach[u] = row
                 state[u] = 2
     return reach
-
-
-def leq(p: Poset, u: int, v: int) -> bool:
-    """Reflexive comparison u <= v in p."""
-    return p.leq(u, v)
 
 
 def folklore_embed(p: Poset) -> Embedding:
@@ -321,7 +308,7 @@ def check_embedding(p: Poset, emb: Embedding) -> EmbeddingCheck:
     return EmbeddingCheck(True)
 
 
-def enumerate_posets(n: int, *, max_n: int = ENUMERATION_CAP) -> Iterator[Poset]:
+def enumerate_posets(n: int) -> Iterator[Poset]:
     """Yield every labeled poset on n elements exactly once.
 
     Elements are added one at a time; for each new element every valid
@@ -333,8 +320,8 @@ def enumerate_posets(n: int, *, max_n: int = ENUMERATION_CAP) -> Iterator[Poset]
     """
     if n < 0:
         raise ValueError("element count must be non-negative")
-    if n > max_n:
-        raise LimitError(f"poset enumeration capped at n={max_n}, got n={n}")
+    if n > ENUMERATION_CAP:
+        raise LimitError(f"poset enumeration capped at n={ENUMERATION_CAP}, got n={n}")
     return _extend_posets(n, [], [])
 
 
@@ -394,38 +381,6 @@ def random_poset(n: int, edge_prob: float, seed: int) -> Poset:
     return Poset(n, tuple(transitive_closure(n, direct)))
 
 
-def max_antichain_bruteforce(p: Poset, *, max_n: int = BRUTE_FORCE_CAP) -> frozenset[int]:
-    """Exponential maximum-antichain oracle (validation only).
-
-    Branch-and-bound maximum independent set in the comparability graph;
-    any maximum-cardinality antichain may be returned, the size is the
-    contract.
-    """
-    if p.n > max_n:
-        raise LimitError(f"brute-force antichain capped at n={max_n}, got n={p.n}")
-    pred = p.pred
-    comp = [p.succ[u] | pred[u] for u in range(p.n)]
-    _, best = _max_independent((1 << p.n) - 1, comp)
-    return frozenset(bit_indices(best))
-
-
-def _max_independent(candidates: int, comp: list[int]) -> tuple[int, int]:
-    if candidates == 0:
-        return 0, 0
-    lsb = candidates & -candidates
-    v = lsb.bit_length() - 1
-    rest = candidates ^ lsb
-    if comp[v] & rest == 0:
-        # v conflicts with nothing left, taking it is always optimal
-        size, mask = _max_independent(rest, comp)
-        return size + 1, mask | lsb
-    size_in, mask_in = _max_independent(rest & ~comp[v], comp)
-    size_out, mask_out = _max_independent(rest, comp)
-    if size_in + 1 >= size_out:
-        return size_in + 1, mask_in | lsb
-    return size_out, mask_out
-
-
 def write_poset(p: Poset) -> str:
     """Serialize a poset: first line n, then one 'u < v' line per cover pair."""
     lines = [str(p.n)]
@@ -448,8 +403,8 @@ def parse_poset(text: str) -> Poset:
         n = int(lines[0])
     except ValueError:
         raise FormatError(f"expected element count on first line, got {lines[0]!r}") from None
-    if n < 0:
-        raise FormatError("element count must be non-negative")
+    if not 0 <= n <= MAX_ELEMENTS:
+        raise FormatError(f"element count {n} outside [0, {MAX_ELEMENTS}]")
     pairs = []
     for line in lines[1:]:
         match = _PAIR_RE.match(line)

@@ -35,6 +35,7 @@ from .errors import (
     VerificationError,
 )
 from .poset import (
+    MAX_ELEMENTS,
     Embedding,
     Poset,
     SubsetMask,
@@ -53,11 +54,6 @@ BRANCH_FOLKLORE = "folklore"
 
 _HEADER_RE = re.compile(r"^n=(\d+)\s+m=(\d+)$")
 _IMAGE_RE = re.compile(r"^(\d+):\s*(.+)$")
-
-
-def default_antichain_budget(n: int) -> int:
-    """The chain/antichain split parameter, n/3 rounded up."""
-    return -(-n // 3)
 
 
 @dataclass(frozen=True)
@@ -82,7 +78,7 @@ def build_universal(n: int, a: int | None = None) -> UniversalFamily:
     if n < 1:
         raise ValueError("need at least one element")
     if a is None:
-        a = default_antichain_budget(n)
+        a = -(-n // 3)  # the chain/antichain split, n/3 rounded up
     if not 1 <= a <= n:
         raise ValueError(f"antichain budget {a} outside [1, {n}]")
     ell = min_ell(a)
@@ -112,19 +108,15 @@ def cardinality(u: UniversalFamily, *, max_sets: int = DEFAULT_MAX_SETS) -> int:
 
 
 def size_bound(n: int, a: int | None = None) -> int:
-    """Upper bound p(n)*a*(ceil(n/a)+1)^a + 2^(n-a+ell) on the family size.
+    """Upper bound p(n)*a*(ceil(n/a)+1)^a + 2^m on the family size.
 
-    Exact integer arithmetic; the second term dominates for large n and
-    carries the 2n/3 exponent once a is about n/3.
+    a and m are those of build_universal(n, a).  Exact integer arithmetic;
+    the second term dominates for large n and carries the 2n/3 exponent
+    once a is about n/3.
     """
-    if n < 1:
-        raise ValueError("need at least one element")
-    if a is None:
-        a = default_antichain_budget(n)
-    if not 1 <= a <= n:
-        raise ValueError(f"antichain budget {a} outside [1, {n}]")
-    chain_term = partition_count(n) * a * (-(-n // a) + 1) ** a
-    return chain_term + (1 << (n - a + min_ell(a)))
+    u = build_universal(n, a)
+    chain_term = partition_count(n) * u.a * (-(-n // u.a) + 1) ** u.a
+    return chain_term + (1 << u.m)
 
 
 def embed_with_branch(u: UniversalFamily, p: Poset) -> tuple[Embedding, str]:
@@ -214,10 +206,10 @@ class UniversalityReport:
         return self.total - self.passed
 
 
-def verify_universality(n: int, *, max_n: int = VERIFY_CAP) -> UniversalityReport:
+def verify_universality(n: int) -> UniversalityReport:
     """Embed every labeled poset on n elements and tally the outcomes."""
-    if n > max_n:
-        raise LimitError(f"exhaustive verification capped at n={max_n}, got n={n}")
+    if n > VERIFY_CAP:
+        raise LimitError(f"exhaustive verification capped at n={VERIFY_CAP}, got n={n}")
     u = build_universal(n)
     total = passed = 0
     branches = {BRANCH_CHAIN: 0, BRANCH_ANTICHAIN: 0, BRANCH_FOLKLORE: 0}
@@ -256,6 +248,8 @@ def parse_embedding(text: str) -> Embedding:
     if not header:
         raise FormatError(f"bad embedding header {lines[0]!r}")
     n, m = int(header.group(1)), int(header.group(2))
+    if max(n, m) > MAX_ELEMENTS:
+        raise FormatError(f"header n={n} m={m} exceeds {MAX_ELEMENTS}")
     body = lines[1:]
     if len(body) != n:
         raise FormatError(f"header promises {n} images, file has {len(body)}")

@@ -14,8 +14,10 @@ import random
 from collections import deque
 from itertools import combinations, product
 
-from posetcube import Embedding, Poset
-from posetcube.poset import bit_indices, transitive_closure
+from posetcube import LimitError, Poset
+from posetcube.poset import Embedding, bit_indices, transitive_closure
+
+BRUTE_FORCE_CAP = 20
 
 
 def enumerate_posets_filter(n: int):
@@ -56,6 +58,38 @@ def check_embedding_naive(p: Poset, emb: Embedding) -> bool:
             if (images[u] <= images[v]) != p.leq(u, v):
                 return False
     return True
+
+
+def max_antichain_bruteforce(p: Poset) -> frozenset[int]:
+    """Exponential maximum-antichain oracle, for n <= BRUTE_FORCE_CAP.
+
+    Branch-and-bound maximum independent set in the comparability graph;
+    any maximum-cardinality antichain may be returned, the size is the
+    contract.
+    """
+    if p.n > BRUTE_FORCE_CAP:
+        raise LimitError(f"brute-force antichain capped at n={BRUTE_FORCE_CAP}, got n={p.n}")
+    pred = p.pred
+    comp = [p.succ[u] | pred[u] for u in range(p.n)]
+    _, best = _max_independent((1 << p.n) - 1, comp)
+    return frozenset(bit_indices(best))
+
+
+def _max_independent(candidates: int, comp: list[int]) -> tuple[int, int]:
+    if candidates == 0:
+        return 0, 0
+    lsb = candidates & -candidates
+    v = lsb.bit_length() - 1
+    rest = candidates ^ lsb
+    if comp[v] & rest == 0:
+        # v conflicts with nothing left, taking it is always optimal
+        size, mask = _max_independent(rest, comp)
+        return size + 1, mask | lsb
+    size_in, mask_in = _max_independent(rest & ~comp[v], comp)
+    size_out, mask_out = _max_independent(rest, comp)
+    if size_in + 1 >= size_out:
+        return size_in + 1, mask_in | lsb
+    return size_out, mask_out
 
 
 def hopcroft_karp_reference(n: int, succ) -> tuple[list[int], list[int]]:

@@ -18,32 +18,31 @@ from posetcube import (
     SubsetMask,
     build_universal,
     cardinality,
-    chain_family,
     check_embedding,
-    embed_with_antichain,
-    enumerate_posets,
-    family_for_partition,
-    hardy_ramanujan,
-    max_antichain,
-    max_antichain_bruteforce,
-    min_chain_decomposition,
-    min_ell,
     parse_embedding,
     parse_family,
     parse_poset,
-    partition_count,
-    partitions,
     random_poset,
     size_bound,
-    verify_universality,
     write_embedding,
     write_family,
     write_poset,
 )
-from posetcube.chainfamily import SetFamily, _family_masks
+from posetcube.antichain import embed_with_antichain, min_ell
+from posetcube.chainfamily import (
+    SetFamily,
+    _family_masks,
+    chain_family,
+    family_for_partition,
+    hardy_ramanujan,
+    partition_count,
+    partitions,
+)
 from posetcube.cli import main
-from posetcube.poset import Embedding
-from helpers import planted_poset
+from posetcube.dilworth import max_antichain, min_chain_decomposition
+from posetcube.poset import Embedding, enumerate_posets
+from posetcube.universal import verify_universality
+from helpers import max_antichain_bruteforce, planted_poset
 
 # exact family sizes for the default budget, frozen after first computation
 CARDINALITY_FIXTURE = {

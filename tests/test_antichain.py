@@ -9,18 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posetcube import (
-    AntichainSplit,
     NotAnAntichainError,
     Poset,
     SizeError,
     SubsetMask,
     check_embedding,
-    classify,
-    embed_with_antichain,
-    enumerate_posets,
-    max_antichain,
-    min_ell,
 )
+from posetcube.antichain import AntichainSplit, classify, embed_with_antichain, min_ell
+from posetcube.dilworth import max_antichain
+from posetcube.poset import enumerate_posets
 from helpers import check_embedding_naive, planted_poset
 
 # one element under two incomparable ones, a fourth above the first of them

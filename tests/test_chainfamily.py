@@ -9,31 +9,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posetcube import (
-    CellLayout,
     FormatError,
     InfeasibleError,
     LimitError,
     MemoryLimitError,
-    PartitionSeq,
     Poset,
-    SetFamily,
     SubsetMask,
-    chain_family,
     check_embedding,
-    embed_bounded_antichain,
-    enumerate_posets,
-    family_for_partition,
-    hardy_ramanujan,
-    max_antichain,
-    member_of_chain_family,
-    min_chain_decomposition,
     parse_family,
-    partition_count,
-    partitions,
     random_poset,
     write_family,
 )
-from posetcube.chainfamily import _family_masks, is_cell_prefix_union
+from posetcube.chainfamily import (
+    PartitionSeq,
+    SetFamily,
+    _family_masks,
+    chain_family,
+    embed_bounded_antichain,
+    family_for_partition,
+    hardy_ramanujan,
+    is_cell_prefix_union,
+    member_of_chain_family,
+    partition_count,
+    partitions,
+)
+from posetcube.dilworth import max_antichain, min_chain_decomposition
+from posetcube.poset import enumerate_posets
 from helpers import (
     family_masks_product,
     is_prefix_union_naive,
@@ -110,15 +111,6 @@ class TestHardyRamanujan:
 
     def test_same_order_of_magnitude(self):
         assert 0.5 < partition_count(60) / hardy_ramanujan(60) < 1.0
-
-
-class TestCellLayout:
-    def test_boundaries_and_cells(self):
-        layout = CellLayout(PartitionSeq((3, 2, 2)))
-        assert layout.boundaries == (0, 3, 5, 7)
-        assert list(layout.cell(1)) == [1, 2, 3]
-        assert list(layout.cell(3)) == [6, 7]
-        assert layout.cell_masks() == (0b0000111, 0b0011000, 0b1100000)
 
 
 class TestFamilyForPartition:

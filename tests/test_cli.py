@@ -6,7 +6,8 @@ import pytest
 
 import posetcube.chainfamily
 import posetcube.universal
-from posetcube import Poset, chain_family, parse_embedding, random_poset, write_poset
+from posetcube import Poset, parse_embedding, random_poset, write_poset
+from posetcube.chainfamily import chain_family
 from posetcube.cli import main
 from helpers import fence_poset
 
@@ -86,6 +87,12 @@ class TestEmbedCommand:
         path.write_text("2\n0 < 1\n1 < 0\n")
         assert main(["embed", "--in", str(path)]) == 1
         assert "cycle" in capsys.readouterr().err
+
+    def test_huge_header_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "huge.poset"
+        path.write_text("1000000000\n")
+        assert main(["embed", "--in", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_malformed_file_exits_one(self, tmp_path):
         path = tmp_path / "bad.poset"

@@ -6,23 +6,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from posetcube import (
+from posetcube import InfeasibleError, Poset, random_poset
+from posetcube.dilworth import (
     ChainDecomposition,
-    InfeasibleError,
-    Poset,
+    _hopcroft_karp,
     decomposition_into_exactly,
-    enumerate_posets,
     max_antichain,
-    max_antichain_bruteforce,
     min_chain_decomposition,
-    random_poset,
 )
-from posetcube.dilworth import _hopcroft_karp
+from posetcube.poset import enumerate_posets
 from helpers import (
     fence_poset,
     has_augmenting_path,
     hopcroft_karp_reference,
     konig_antichain_reference,
+    max_antichain_bruteforce,
 )
 
 

@@ -8,21 +8,20 @@ from hypothesis import strategies as st
 
 from posetcube import (
     CycleError,
-    Embedding,
     FormatError,
     LimitError,
     Poset,
     SizeMismatchError,
     SubsetMask,
     check_embedding,
-    enumerate_posets,
-    folklore_embed,
-    max_antichain_bruteforce,
+    parse_embedding,
+    parse_family,
     parse_poset,
     random_poset,
     write_poset,
 )
-from helpers import check_embedding_naive, enumerate_posets_filter
+from posetcube.poset import MAX_ELEMENTS, Embedding, enumerate_posets, folklore_embed
+from helpers import check_embedding_naive, enumerate_posets_filter, max_antichain_bruteforce
 
 V_POSET = Poset.from_relations(4, [(0, 1), (0, 2), (1, 3)])
 PQ_R = Poset.from_relations(3, [(0, 1)])  # p below q, r isolated
@@ -36,11 +35,7 @@ class TestConstruction:
     def test_from_relations_closes_transitively(self):
         p = Poset.from_relations(3, [(0, 1), (1, 2)])
         assert p.less(0, 2)
-        assert p.matrix() == (
-            (False, True, True),
-            (False, False, True),
-            (False, False, False),
-        )
+        assert p.succ == (0b110, 0b100, 0b000)
 
     def test_empty_relation_is_antichain(self):
         p = Poset.from_relations(2, [])
@@ -251,6 +246,27 @@ class TestPosetFormat:
     def test_cycle_in_file(self):
         with pytest.raises(CycleError):
             parse_poset("2\n0 < 1\n1 < 0\n")
+
+
+class TestHeaderBound:
+    """Every parser rejects a header above MAX_ELEMENTS before allocating."""
+
+    def test_largest_allowed_header_parses(self):
+        top = MAX_ELEMENTS
+        assert parse_poset(f"{top}\n").succ == (0,) * top
+        assert parse_embedding(f"n=1 m={top}\n0: {top}\n").masks == (1 << (top - 1),)
+        assert parse_family(f"m={top} count=1\n{top}\n").masks == (1 << (top - 1),)
+
+    @pytest.mark.parametrize("big", [MAX_ELEMENTS + 1, 10**9])
+    def test_larger_header_rejected(self, big):
+        with pytest.raises(FormatError, match=str(MAX_ELEMENTS)):
+            parse_poset(f"{big}\n")
+        with pytest.raises(FormatError, match=str(MAX_ELEMENTS)):
+            parse_embedding(f"n=1 m={big}\n0: {big}\n")
+        with pytest.raises(FormatError, match=str(MAX_ELEMENTS)):
+            parse_embedding(f"n={big} m=1\n0: 1\n")
+        with pytest.raises(FormatError, match=str(MAX_ELEMENTS)):
+            parse_family(f"m={big} count=1\n{big}\n")
 
 
 class TestSubsetMask:

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posetcube import (
-    Embedding,
     FormatError,
     LimitError,
     MemoryLimitError,
@@ -18,22 +17,23 @@ from posetcube import (
     SubsetMask,
     build_universal,
     cardinality,
-    chain_family,
     embed,
     embed_with_branch,
-    enumerate_posets,
-    folklore_embed,
     membership,
-    min_ell,
     parse_embedding,
-    partition_count,
     random_poset,
     size_bound,
-    verify_universality,
     write_embedding,
 )
-from posetcube.chainfamily import partitions
-from posetcube.universal import BRANCH_ANTICHAIN, BRANCH_CHAIN, BRANCH_FOLKLORE
+from posetcube.antichain import min_ell
+from posetcube.chainfamily import chain_family, partition_count, partitions
+from posetcube.poset import Embedding, enumerate_posets, folklore_embed
+from posetcube.universal import (
+    BRANCH_ANTICHAIN,
+    BRANCH_CHAIN,
+    BRANCH_FOLKLORE,
+    verify_universality,
+)
 from helpers import fence_poset, naive_chain_family
 
 
@@ -118,7 +118,8 @@ class TestCardinality:
 
 class TestSizeBound:
     def test_three(self):
-        assert size_bound(3) == 16
+        # the default a is 1 at n=3, so the lattice part is all of 2^[3]
+        assert size_bound(3) == partition_count(3) * 1 * 4 + 2**3 == 20
 
     def test_chain_term_dominates_at_thirty(self):
         n, a = 30, 10
@@ -128,8 +129,9 @@ class TestSizeBound:
         assert size_bound(30) == chain_term + lattice_term
 
     def test_cardinality_within_bound(self):
-        for n in range(4, 13):
-            assert cardinality(build_universal(n)) <= size_bound(n)
+        for n in range(1, 15):
+            for a in range(1, n + 1):
+                assert cardinality(build_universal(n, a)) <= size_bound(n, a), (n, a)
 
 
 class TestEmbed:
