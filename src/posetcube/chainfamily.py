@@ -12,9 +12,10 @@ along a minimum chain cover and sends each element to its downset.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .dilworth import ChainDecomposition, decomposition_into_exactly
 from .errors import FormatError, LimitError, MemoryLimitError
@@ -68,10 +69,6 @@ class SetFamily:
                 raise ValueError(f"mask {mask:#x} outside ground set [{self.m}]")
             prev = mask
 
-    @classmethod
-    def from_masks(cls, m: int, masks: Iterable[int]) -> "SetFamily":
-        return cls(m, tuple(sorted(set(masks))))
-
     def __len__(self) -> int:
         return len(self.masks)
 
@@ -81,10 +78,6 @@ class SetFamily:
     def __contains__(self, item: SubsetMask) -> bool:
         i = bisect_left(self.masks, item.bits)
         return item.m == self.m and i < len(self.masks) and self.masks[i] == item.bits
-
-    def count_within(self, m: int) -> int:
-        """How many member sets fit inside the smaller ground set [m]."""
-        return bisect_right(self.masks, (1 << m) - 1)
 
 
 def partitions(n: int, max_parts: int) -> Iterator[PartitionSeq]:
@@ -178,26 +171,50 @@ def _balanced_product(n: int, a: int) -> int:
     return (q + 2) ** r * (q + 1) ** (a - r)
 
 
+def chain_family_counts(n: int, a: int, m: int) -> tuple[int, int]:
+    """Exact sizes of chain_family(n, a) and of its members inside [m].
+
+    Cut a mask, low bit first, at every 0->1 step into blocks 1^x 0^y.  A
+    block of length B under cap c (n at first) takes k = ceil(B/c) balanced
+    cells and passes on the cap B // k.  A mask is a member iff this greedy
+    cut uses at most a cells; greedy is optimal because fewer cells always
+    leave a larger next cap.  The DP over (start, cap, cells used) weights
+    each block by its (x, y) choices, and inside [m] only if start + x <= m.
+    """
+    states = [defaultdict(int) for _ in range(n)]
+    states[0][n, 0] = 1
+    chain = inside = 0
+    for start in range(n):
+        first = start == 0
+        for (cap, used), ways in states[start].items():
+            for b in range(1, n - start + 1):
+                k = -(-b // cap)
+                if used + k > a:
+                    break
+                if start + b == n:
+                    chain += ways * (b + first)
+                    inside += ways * max(0, min(b, m - start) + first)
+                elif used + k + -(-(n - start - b) // (b // k)) <= a:  # can still finish
+                    states[start + b][b // k, used + k] += ways * (b - 1 + first)
+    return chain, inside
+
+
 def chain_family(n: int, a: int, *, max_sets: int = DEFAULT_MAX_SETS) -> SetFamily:
     """Union of the per-cell prefix families over partitions into <= a parts.
 
-    Raises MemoryLimitError when the union would exceed max_sets; the most
-    even partition alone gives a lower bound on the union, so hopeless
-    inputs fail before any materialization starts.
+    Raises MemoryLimitError when the union would exceed max_sets, decided
+    before anything is built: by the O(1) lower bound of the most even
+    partition, then by the exact count of chain_family_counts.
     """
     if not 1 <= a <= n:
         raise ValueError(f"chain budget {a} outside [1, {n}]")
-    if _balanced_product(n, a) > max_sets:
+    if _balanced_product(n, a) > max_sets or chain_family_counts(n, a, n)[0] > max_sets:
         raise MemoryLimitError(
             f"chain family for n={n}, a={a} exceeds {max_sets} sets"
         )
     seen: set[int] = set()
     for c in partitions(n, a):
         seen.update(_family_masks(c))
-        if len(seen) > max_sets:
-            raise MemoryLimitError(
-                f"chain family for n={n}, a={a} exceeds {max_sets} sets"
-            )
     return SetFamily(n, tuple(sorted(seen)))
 
 

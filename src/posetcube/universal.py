@@ -17,9 +17,8 @@ from dataclasses import dataclass
 
 from .antichain import embed_with_antichain, min_ell
 from .chainfamily import (
-    DEFAULT_MAX_SETS,
     PartitionSeq,
-    chain_family,
+    chain_family_counts,
     embed_bounded_antichain,
     is_cell_prefix_union,
     member_of_chain_family,
@@ -62,9 +61,9 @@ class UniversalFamily:
 
     The family is a formula fixed by (n, a, ell, m); nothing is
     materialized.  Its chain part, chain_family(n, a), is decided by the
-    partition scan and the lattice part is every subset of [m].  For a < 2
-    the label construction is unavailable and the family degrades to the
-    whole of 2^[n], encoded by m = n.
+    partition scan and counted by a block DP; the lattice part is every
+    subset of [m].  For a < 2 the label construction is unavailable and
+    the family degrades to the whole of 2^[n], encoded by m = n.
     """
 
     n: int
@@ -97,14 +96,14 @@ def membership(u: UniversalFamily, t: SubsetMask) -> bool:
     return t.bits >> u.m == 0 or member_of_chain_family(t, u.n, u.a)
 
 
-def cardinality(u: UniversalFamily, *, max_sets: int = DEFAULT_MAX_SETS) -> int:
+def cardinality(u: UniversalFamily) -> int:
     """Exact family size: chain part plus the lattice part, overlap once.
 
-    The chain part is materialized on demand; MemoryLimitError when it
-    would exceed max_sets.
+    Both counts of the chain part come from the block DP of
+    chain_family_counts, so nothing is materialized at any n.
     """
-    chain = chain_family(u.n, u.a, max_sets=max_sets)
-    return len(chain) + (1 << u.m) - chain.count_within(u.m)
+    chain, chain_inside_m = chain_family_counts(u.n, u.a, u.m)
+    return chain + (1 << u.m) - chain_inside_m
 
 
 def size_bound(n: int, a: int | None = None) -> int:

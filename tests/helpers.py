@@ -15,6 +15,7 @@ from collections import deque
 from itertools import combinations, product
 
 from posetcube import LimitError, Poset
+from posetcube.chainfamily import chain_family
 from posetcube.poset import Embedding, bit_indices, transitive_closure
 
 BRUTE_FORCE_CAP = 20
@@ -242,6 +243,17 @@ def naive_chain_family(n: int, a: int, all_partitions) -> set[int]:
         if any(is_prefix_union_naive(elements, c.parts) for c in all_partitions):
             family.add(bits)
     return family
+
+
+def cardinality_materialized(u) -> int:
+    """Family size by materializing the chain part and counting its sets.
+
+    The chain part plus every subset of [m], minus the chain-part members
+    that lie inside [m] and so would be counted twice.
+    """
+    chain = chain_family(u.n, u.a)
+    inside = sum(1 for bits in chain.masks if bits >> u.m == 0)
+    return len(chain) + (1 << u.m) - inside
 
 
 def planted_poset(n: int, seed: int) -> tuple[Poset, frozenset[int]]:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import posetcube
 
 PUBLIC = {
@@ -44,3 +47,23 @@ def test_every_public_name_resolves():
     exec("from posetcube import *", namespace)
     for name in PUBLIC:
         assert namespace[name] is getattr(posetcube, name)
+
+
+def test_readme_library_example_runs_as_documented():
+    # every "# <literal>" comment in the README's example is the value of
+    # the expression on its line
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict[str, object] = {}
+    exec(code, namespace)
+    checked = []
+    for line in code.splitlines():
+        expression, _, comment = line.partition("#")
+        try:
+            expected = ast.literal_eval(comment.strip())
+        except (SyntaxError, ValueError):
+            continue
+        assert eval(expression, namespace) == expected, line
+        checked.append(expected)
+    assert checked == [(1, 4), True, (16, 106)]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,7 @@ from posetcube.chainfamily import (
     SetFamily,
     _family_masks,
     chain_family,
+    chain_family_counts,
     embed_bounded_antichain,
     family_for_partition,
     hardy_ramanujan,
@@ -183,6 +185,38 @@ class TestChainFamily:
             chain_family(4, 0)
         with pytest.raises(ValueError):
             chain_family(4, 5)
+
+
+class TestChainFamilyCounts:
+    def test_matches_naive_filter(self):
+        # the set-based filter over all 2^n subsets shares no code with the DP
+        for n in range(1, 11):
+            for a in range(1, n + 1):
+                family = naive_chain_family(n, a, list(partitions(n, a)))
+                for m in range(n + 1):
+                    inside = sum(1 for bits in family if bits >> m == 0)
+                    assert chain_family_counts(n, a, m) == (len(family), inside), (n, a, m)
+
+    def test_matches_materialized_family(self):
+        for n in range(1, 15):
+            for a in range(1, n + 1):
+                masks = chain_family(n, a).masks
+                for m in range(n + 1):
+                    inside = bisect_right(masks, (1 << m) - 1)
+                    assert chain_family_counts(n, a, m) == (len(masks), inside), (n, a, m)
+
+    def test_one_chain_gives_the_prefixes(self):
+        for n in range(1, 201):
+            assert chain_family_counts(n, 1, n // 2) == (n + 1, n // 2 + 1), n
+
+    def test_n_chains_give_every_subset(self):
+        for n in range(1, 61):
+            assert chain_family_counts(n, n, n // 2) == (2**n, 2 ** (n // 2)), n
+
+    def test_count_never_shrinks_as_the_budget_grows(self):
+        for n in range(1, 41):
+            counts = [chain_family_counts(n, a, n)[0] for a in range(1, n + 1)]
+            assert counts == sorted(counts), n
 
 
 class TestMemberOfChainFamily:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 import posetcube.chainfamily
@@ -48,6 +50,16 @@ class TestFamilyCommand:
 
     def test_tiny_cap_exceeded(self, capsys):
         assert main(["family", "--n", "10", "--cap", "5"]) == 2
+
+    def test_over_cap_fails_before_materializing(self, capsys, monkeypatch):
+        # n = 28 passes the most-even-partition lower bound, so only the
+        # exact count can refuse it before any set is built
+        def refuse(*args, **kwargs):
+            raise AssertionError("family materialized sets before refusing")
+
+        monkeypatch.setattr(posetcube.chainfamily, "_family_masks", refuse)
+        assert main(["family", "--n", "28"]) == 2
+        assert capsys.readouterr().err == "error: chain family for n=28, a=10 exceeds 16777216 sets\n"
 
     def test_zero_elements_rejected(self, capsys):
         assert main(["family", "--n", "0"]) == 1
@@ -113,7 +125,7 @@ class TestEmbedCommand:
             raise AssertionError("embed materialized the chain family")
 
         monkeypatch.setattr(posetcube.chainfamily, "chain_family", refuse)
-        monkeypatch.setattr(posetcube.universal, "chain_family", refuse)
+        monkeypatch.setattr(posetcube.universal, "chain_family", refuse, raising=False)
         path = tmp_path / "p.poset"
         path.write_text(write_poset(random_poset(22, 0.3, 7)))
         assert main(["embed", "--in", str(path)]) == 0
@@ -170,11 +182,20 @@ class TestStatsCommand:
         assert rows == ["n=4", "n=5", "n=6"]
         assert out.count("\n\n") == 2
 
-    def test_predicate_only_row(self, capsys):
-        assert main(["stats", "--n", "10", "--cap", "4"]) == 0
-        out = capsys.readouterr().out
-        assert "cardinality=predicate-only" in out
-        assert "ratio_bits" not in out
+    def test_twenty_eight_counts_exactly(self, capsys):
+        start = time.perf_counter()
+        assert main(["stats", "--n", "28"]) == 0
+        assert time.perf_counter() - start < 5.0
+        values = dict(
+            line.split("=", 1) for line in capsys.readouterr().out.splitlines() if line
+        )
+        card = int(values["cardinality"])
+        assert card < int(values["size_bound"]) and card < int(values["pow2_n"])
+        assert "ratio_bits" in values and "excess_bits" in values
+
+    def test_cap_flag_rejected(self, capsys):
+        assert main(["stats", "--n", "10", "--cap", "4"]) == 1
+        assert capsys.readouterr().out == ""
 
 
 class TestPartitionsCommand:

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import posetcube.chainfamily
+import posetcube.universal
 from posetcube import (
     FormatError,
     LimitError,
@@ -34,7 +36,7 @@ from posetcube.universal import (
     BRANCH_FOLKLORE,
     verify_universality,
 )
-from helpers import fence_poset, naive_chain_family
+from helpers import cardinality_materialized, fence_poset, naive_chain_family
 
 
 class TestBuildUniversal:
@@ -70,7 +72,7 @@ class TestBuildUniversal:
         u = build_universal(9)
         assert [f.name for f in dataclasses.fields(u)] == ["n", "a", "ell", "m"]
         with pytest.raises(MemoryLimitError):
-            cardinality(u, max_sets=3)
+            chain_family(9, u.a, max_sets=3)
         assert membership(u, SubsetMask(9, (1 << 9) - 1))
         emb = embed(u, random_poset(9, 0.3, 1))
         assert all(membership(u, SubsetMask(9, bits)) for bits in emb.masks)
@@ -111,9 +113,22 @@ class TestCardinality:
     def test_one_element(self):
         assert cardinality(build_universal(1)) == 2
 
-    def test_count_over_cap_raises(self):
-        with pytest.raises(MemoryLimitError):
-            cardinality(build_universal(9), max_sets=3)
+    def test_counts_without_materializing(self, monkeypatch):
+        u = build_universal(9)
+        expected = cardinality_materialized(u)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("cardinality materialized the chain family")
+
+        monkeypatch.setattr(posetcube.chainfamily, "chain_family", refuse)
+        monkeypatch.setattr(posetcube.universal, "chain_family", refuse, raising=False)
+        assert cardinality(u) == expected
+
+    def test_matches_the_materialized_count(self):
+        for n in range(1, 15):
+            for a in range(1, n + 1):
+                u = build_universal(n, a)
+                assert cardinality(u) == cardinality_materialized(u), (n, a)
 
 
 class TestSizeBound:
@@ -129,7 +144,7 @@ class TestSizeBound:
         assert size_bound(30) == chain_term + lattice_term
 
     def test_cardinality_within_bound(self):
-        for n in range(1, 15):
+        for n in range(1, 41):
             for a in range(1, n + 1):
                 assert cardinality(build_universal(n, a)) <= size_bound(n, a), (n, a)
 
