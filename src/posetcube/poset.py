@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import random
 import re
+import threading
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CycleError, FormatError, LimitError, SizeMismatchError
@@ -24,7 +26,19 @@ ENUMERATION_CAP = 6
 # reject bigger ones before allocating anything of that size.
 MAX_ELEMENTS = 1 << 16
 
+# Poset.pred transposes succ above n*n/_PRED_DENSITY comparable pairs.
+_PRED_DENSITY = 64
+
 _PAIR_RE = re.compile(r"^(\d+)\s*<\s*(\d+)$")
+
+# _BIT_DIGITS[k] maps a byte to b"1" or b"0", its bit k as an ASCII digit
+_BIT_DIGITS = tuple((b"0" * (1 << k) + b"1" * (1 << k)) * (128 >> k) for k in range(8))
+_DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+
+# "1", "2", ...: the text of each ground position, grown to the widest mask
+# rendered so far and never shrunk or rewritten.
+_POSITIONS: list[str] = []
+_POSITIONS_LOCK = threading.Lock()
 
 
 def bit_indices(mask: int) -> Iterator[int]:
@@ -36,10 +50,46 @@ def bit_indices(mask: int) -> Iterator[int]:
 
 
 def mask_to_text(bits: int) -> str:
-    """Render a ground-set bitmask as 1-indexed elements, ``-`` if empty."""
+    """Render a ground-set bitmask as 1-indexed elements, ``-`` if empty.
+
+    The binary digits of bits select, in C, from a shared list of position
+    strings, so no Python step runs per set bit.
+    """
     if bits == 0:
         return "-"
-    return ",".join(str(i + 1) for i in bit_indices(bits))
+    width = bits.bit_length()
+    if len(_POSITIONS) < width:
+        with _POSITIONS_LOCK:
+            _POSITIONS.extend(map(str, range(len(_POSITIONS) + 1, width + 1)))
+    selectors = format(bits, "b").encode()[::-1].translate(_DIGIT_VALUES)
+    return ",".join(compress(_POSITIONS, selectors))
+
+
+def _byte_columns(rows: Sequence[int], width: int) -> list[bytes]:
+    """The rows transposed at byte granularity, one bytes per byte block.
+
+    Entry b holds byte b (bits 8b..8b+7) of every row, in row order; it is
+    one strided slice of the rows' concatenated little-endian bytes.  All
+    rows must fit in width bits.
+    """
+    size = (width + 7) // 8
+    data = b"".join(row.to_bytes(size, "little") for row in rows)
+    return [data[b::size] for b in range(size)]
+
+
+def _bit_column(block: bytes, k: int) -> int:
+    """The rows whose byte in block has bit k set, as a bitmask over rows."""
+    return int(block.translate(_BIT_DIGITS[k])[::-1] or b"0", 2)
+
+
+def transpose(rows: Sequence[int], width: int) -> tuple[int, ...]:
+    """The transposed bit matrix: bit i of result[j] is bit j of rows[i].
+
+    rows must fit in width bits.  Each of the width results is one strided
+    byte slice, translated to digits and read as an int, all in C.
+    """
+    blocks = _byte_columns(rows, width)
+    return tuple(_bit_column(blocks[j >> 3], j & 7) for j in range(width))
 
 
 def mask_from_text(text: str, m: int) -> int:
@@ -208,11 +258,23 @@ class Poset:
 
     @cached_property
     def pred(self) -> tuple[int, ...]:
-        """Predecessor masks: bit u of pred[v] set iff u is strictly below v."""
-        pred = [0] * self.n
-        for u, row in enumerate(self.succ):
+        """Predecessor masks: bit u of pred[v] set iff u is strictly below v.
+
+        Above n*n/_PRED_DENSITY comparable pairs this is transpose(succ),
+        about n*n byte steps in C; below, a Python loop sets one bit per
+        pair, at the cost of one n-bit int each.  On random posets the two
+        break even at about n*n/33 pairs for n = 200, n*n/70 for 600,
+        n*n/100 for 2000 and n*n/140 for 5000 (CPython 3.11), so the fixed
+        rule costs at most about twice the faster method there.
+        """
+        n, succ = self.n, self.succ
+        if sum(row.bit_count() for row in succ) * _PRED_DENSITY > n * n:
+            return transpose(succ, n)
+        pred = [0] * n
+        for u, row in enumerate(succ):
+            bit = 1 << u
             for v in bit_indices(row):
-                pred[v] |= 1 << u
+                pred[v] |= bit
         return tuple(pred)
 
     @cached_property
@@ -282,29 +344,45 @@ def folklore_embed(p: Poset) -> Embedding:
 def check_embedding(p: Poset, emb: Embedding) -> EmbeddingCheck:
     """Verify that emb is an order-faithful injective embedding of p.
 
-    Checks image distinctness and, for every ordered pair (u, v) with
-    u != v, the biconditional "u <= v iff image(u) contained in image(v)";
-    incomparable pairs therefore must fail containment both ways.  Returns
-    a verdict carrying the first offending pair.
+    The relation checked is "u <= v iff image(u) is contained in image(v)"
+    for every ordered pair, so incomparable pairs must fail containment
+    both ways.  It is computed whole, one byte block of the ground set at
+    a time (the Four Russians method).  The images are transposed into the
+    block's eight ground-set columns, each the set of elements whose image
+    holds that position.  A 256-entry table, built incrementally, gives
+    for every byte value s the AND of the columns of the positions in s,
+    and each element u folds table[byte of image(u)] into its accumulator.
+    After the last block, bit v of u's accumulator is set iff image(u)
+    lies within image(v), and it must equal succ[u] | 1 << u.  For m
+    ground positions that is about n*m/8 + 32*m big-int operations on
+    n-bit ints, instead of n*n Python steps.
+
+    Injectivity follows from antisymmetry: equal images are contained
+    both ways, which the order allows for no two distinct elements.
+    Equal images are still reported first, as "duplicate images".
+    Otherwise the witness is the first offending pair in (u, v) order.
     """
     if emb.n != p.n:
         raise SizeMismatchError(f"embedding has {emb.n} images for {p.n} elements")
-    masks = emb.masks
     seen: dict[int, int] = {}
-    for j, bits in enumerate(masks):
+    for j, bits in enumerate(emb.masks):
         if bits in seen:
             return EmbeddingCheck(False, (seen[bits], j), "duplicate images")
         seen[bits] = j
-    neg = [~bits for bits in masks]
-    n = p.n
-    for u in range(n):
-        mu = masks[u]
-        row = p.succ[u] | (1 << u)
-        for v in range(n):
-            contained = mu & neg[v] == 0
-            if contained != ((row >> v) & 1 == 1):
-                reason = "containment without order" if contained else "order without containment"
-                return EmbeddingCheck(False, (u, v), reason)
+    full = (1 << p.n) - 1
+    inside = [full] * p.n  # bit v of inside[u]: image(u) within image(v)
+    for block in _byte_columns(emb.masks, emb.m):
+        table = [full]
+        for k in range(8):
+            column = _bit_column(block, k)
+            table += [t & column for t in table]
+        inside = [row & table[x] for row, x in zip(inside, block)]
+    for u, row in enumerate(inside):
+        wrong = row ^ (p.succ[u] | 1 << u)
+        if wrong:
+            v = (wrong & -wrong).bit_length() - 1
+            reason = "containment without order" if row >> v & 1 else "order without containment"
+            return EmbeddingCheck(False, (u, v), reason)
     return EmbeddingCheck(True)
 
 

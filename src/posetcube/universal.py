@@ -163,11 +163,14 @@ def _verify(
 ) -> None:
     """Check order-faithfulness and per-image membership, raising on failure.
 
-    Membership is established through a branch-specific witness instead of
-    the general predicate, so verification works at any n: chain-cover
-    images are per-cell prefixes of the partition given by the chain lengths
-    of dec, which must split [n] into at most a cells, and the other
-    branches produce subsets of [m].
+    Order-faithfulness is check_embedding's byte-block pass over all
+    pairs at once, about n*m/8 operations on n-bit ints; at large n it is
+    the biggest part of a verified embed (README, "What a verified embed
+    costs").  Membership is established through a branch-specific witness
+    instead of the general predicate, so verification works at any n:
+    chain-cover images are per-cell prefixes of the partition given by the
+    chain lengths of dec, which must split [n] into at most a cells, and
+    the other branches produce subsets of [m].
     """
     verdict = check_embedding(p, emb)
     if not verdict:

@@ -14,9 +14,10 @@ import random
 from collections import deque
 from itertools import combinations, product
 
-from posetcube import LimitError, Poset
+from posetcube import LimitError, Poset, SizeError, SizeMismatchError
+from posetcube.antichain import classify
 from posetcube.chainfamily import chain_family
-from posetcube.poset import Embedding, bit_indices, transitive_closure
+from posetcube.poset import Embedding, EmbeddingCheck, bit_indices, transitive_closure
 
 BRUTE_FORCE_CAP = 20
 
@@ -59,6 +60,105 @@ def check_embedding_naive(p: Poset, emb: Embedding) -> bool:
             if (images[u] <= images[v]) != p.leq(u, v):
                 return False
     return True
+
+
+def check_embedding_pairwise(p: Poset, emb: Embedding) -> EmbeddingCheck:
+    """The verifier one pair at a time: the duplicate scan, then every (u, v).
+
+    Same verdicts, reasons and witness as check_embedding; its witness is
+    the first offending pair in (u, v) order.
+    """
+    if emb.n != p.n:
+        raise SizeMismatchError(f"embedding has {emb.n} images for {p.n} elements")
+    masks = emb.masks
+    seen: dict[int, int] = {}
+    for j, bits in enumerate(masks):
+        if bits in seen:
+            return EmbeddingCheck(False, (seen[bits], j), "duplicate images")
+        seen[bits] = j
+    neg = [~bits for bits in masks]
+    n = p.n
+    for u in range(n):
+        mu = masks[u]
+        row = p.succ[u] | (1 << u)
+        for v in range(n):
+            contained = mu & neg[v] == 0
+            if contained != ((row >> v) & 1 == 1):
+                reason = "containment without order" if contained else "order without containment"
+                return EmbeddingCheck(False, (u, v), reason)
+    return EmbeddingCheck(True)
+
+
+def witness_rejected(p: Poset, emb: Embedding, u: int, v: int) -> bool:
+    """Does the pair (u, v) alone refute emb, read with frozensets?
+
+    Equal images refute any pair of distinct elements; otherwise the
+    biconditional "u <= v iff image(u) within image(v)" must fail at (u, v).
+    """
+    image_u = frozenset(bit_indices(emb.masks[u]))
+    image_v = frozenset(bit_indices(emb.masks[v]))
+    if u != v and image_u == image_v:
+        return True
+    return (image_u <= image_v) != p.leq(u, v)
+
+
+def embed_with_antichain_reference(p: Poset, antichain) -> Embedding:
+    """The label construction element by element and pair by pair.
+
+    A below element takes the below positions at or under it; an antichain
+    element adds its label and the above positions it is not under; an
+    above element adds the whole label window and the above positions not
+    at or over it.
+    """
+    split = classify(p, antichain)
+    if len(split.antichain) < 2:
+        raise SizeError("antichain embedding needs at least two elements")
+    b = split.b
+    window = ((1 << split.ell) - 1) << b
+    above_base = b + split.ell
+
+    below_bit = {u: 1 << i for i, u in enumerate(split.below)}
+    succ = p.succ
+    images = [0] * p.n
+
+    def below_part(u: int) -> int:
+        bits = 0
+        for x, bit in below_bit.items():
+            if x == u or (succ[x] >> u) & 1:
+                bits |= bit
+        return bits
+
+    for u in split.below:
+        images[u] = below_part(u)
+    for y, label in zip(split.antichain, split.label_masks):
+        bits = below_part(y) | label
+        for t, z in enumerate(split.above):
+            if not (succ[y] >> z) & 1:
+                bits |= 1 << (above_base + t)
+        images[y] = bits
+    for j, z in enumerate(split.above):
+        bits = below_part(z) | window
+        for t, other in enumerate(split.above):
+            if t != j and not (succ[z] >> other) & 1:
+                bits |= 1 << (above_base + t)
+        images[z] = bits
+    return Embedding(split.ground_size, tuple(images))
+
+
+def mask_to_text_reference(bits: int) -> str:
+    """A ground-set mask as 1-indexed elements, one set bit at a time."""
+    if bits == 0:
+        return "-"
+    return ",".join(str(i + 1) for i in bit_indices(bits))
+
+
+def pred_reference(p: Poset) -> tuple[int, ...]:
+    """Predecessor masks by a loop over every comparable pair."""
+    pred = [0] * p.n
+    for u, row in enumerate(p.succ):
+        for v in bit_indices(row):
+            pred[v] |= 1 << u
+    return tuple(pred)
 
 
 def max_antichain_bruteforce(p: Poset) -> frozenset[int]:
