@@ -290,7 +290,8 @@ def write_family(family: SetFamily) -> str:
     """Serialize a family: header 'm=<m> count=<k>', then one set per line."""
     lines = [f"m={family.m} count={len(family)}"]
     lines.extend(mask_to_text(bits) for bits in family.masks)
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, without a second copy of the text
+    return "\n".join(lines)
 
 
 def parse_family(text: str) -> SetFamily:

@@ -202,6 +202,19 @@ class Poset:
     ``succ[u]`` has bit v set iff u is strictly below v.  Construction
     validates irreflexivity, antisymmetry and transitive closedness, so a
     Poset value can always be trusted downstream.
+
+    Closedness is checked by greedy cover picks (:func:`_picks_union`):
+    each row takes its lowest successor v not yet accounted for, requires
+    succ[v] within succ[u], and clears succ[v] | 1 << v from what is left.
+    That is exact for an irreflexive relation.  A successor w of u that is
+    never picked lies in succ[s] for a pick s with succ[s] within succ[u];
+    repeat the argument for w in row s.  The chain u, s, s', ... has
+    shrinking successor sets and cannot repeat, since a repeat would put
+    an element below itself, so it ends at a pick and succ[w] lies within
+    succ[u].  Irreflexive and transitive gives antisymmetric.  The Python
+    steps are the picks, never more than the comparable pairs, and often
+    far fewer.  A rejected (u, v) is a real violation, but it need not be
+    the lexicographically first one.
     """
 
     n: int
@@ -219,15 +232,9 @@ class Poset:
                 raise ValueError(f"row {u} mentions elements outside range")
             if (row >> u) & 1:
                 raise ValueError(f"irreflexivity violated at element {u}")
-            rest = row
-            while rest:
-                lsb = rest & -rest
-                v = lsb.bit_length() - 1
-                rest ^= lsb
-                if (succ[v] >> u) & 1:
-                    raise ValueError(f"antisymmetry violated on ({u}, {v})")
-                if succ[v] & ~row:
-                    raise ValueError(f"relation not transitively closed at ({u}, {v})")
+        # the picks are exact only once every row is known irreflexive
+        for u in range(n):
+            _picks_union(succ, u)
 
     @classmethod
     def from_relations(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Poset":
@@ -279,14 +286,14 @@ class Poset:
 
     @cached_property
     def covers(self) -> tuple[int, ...]:
-        """Cover masks: successors not reachable through an intermediate element."""
-        out = []
-        for row in self.succ:
-            via = 0
-            for v in bit_indices(row):
-                via |= self.succ[v]
-            out.append(row & ~via)
-        return tuple(out)
+        """Cover masks: successors not reachable through an intermediate element.
+
+        What an intermediate element reaches is the union of succ over the
+        greedy cover picks of the row, which by transitivity equals the
+        union over all of its successors.
+        """
+        succ = self.succ
+        return tuple(row & ~_picks_union(succ, u) for u, row in enumerate(succ))
 
     def less(self, u: int, v: int) -> bool:
         """Strict comparison u < v."""
@@ -295,6 +302,26 @@ class Poset:
     def leq(self, u: int, v: int) -> bool:
         """Reflexive comparison u <= v."""
         return u == v or (self.succ[u] >> v) & 1 == 1
+
+
+def _picks_union(succ: Sequence[int], u: int) -> int:
+    """The union of succ[v] over the greedy cover picks v of row u (see Poset).
+
+    Raises ValueError at the first pick v with succ[v] not within succ[u].
+    """
+    rest = row = succ[u]
+    via = 0
+    while rest:
+        lsb = rest & -rest
+        v = lsb.bit_length() - 1
+        below = succ[v]
+        if below & ~row:
+            if (below >> u) & 1:
+                raise ValueError(f"antisymmetry violated on ({u}, {v})")
+            raise ValueError(f"relation not transitively closed at ({u}, {v})")
+        via |= below
+        rest = (rest ^ lsb) & ~via
+    return via
 
 
 def transitive_closure(n: int, direct: Sequence[int]) -> list[int]:
@@ -465,7 +492,8 @@ def write_poset(p: Poset) -> str:
     for u in range(p.n):
         for v in bit_indices(p.covers[u]):
             lines.append(f"{u} < {v}")
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, without a second copy of the text
+    return "\n".join(lines)
 
 
 def parse_poset(text: str) -> Poset:

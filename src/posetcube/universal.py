@@ -238,7 +238,8 @@ def write_embedding(emb: Embedding) -> str:
     lines = [f"n={emb.n} m={emb.m}"]
     for j, bits in enumerate(emb.masks):
         lines.append(f"{j}: {mask_to_text(bits)}")
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, without a second copy of the text
+    return "\n".join(lines)
 
 
 def parse_embedding(text: str) -> Embedding:

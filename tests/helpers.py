@@ -161,6 +161,36 @@ def pred_reference(p: Poset) -> tuple[int, ...]:
     return tuple(pred)
 
 
+def validate_pairwise(n: int, succ) -> None:
+    """The strict-order check with one step per comparable pair.
+
+    Raises ValueError with the messages of Poset at the lexicographically
+    first violating pair; returns None if succ is a strict order.
+    """
+    full = (1 << n) - 1
+    for u, row in enumerate(succ):
+        if row < 0 or row & ~full:
+            raise ValueError(f"row {u} mentions elements outside range")
+        if (row >> u) & 1:
+            raise ValueError(f"irreflexivity violated at element {u}")
+        for v in bit_indices(row):
+            if (succ[v] >> u) & 1:
+                raise ValueError(f"antisymmetry violated on ({u}, {v})")
+            if succ[v] & ~row:
+                raise ValueError(f"relation not transitively closed at ({u}, {v})")
+
+
+def covers_reference(p: Poset) -> tuple[int, ...]:
+    """Cover masks by a union of succ over every successor of each row."""
+    out = []
+    for row in p.succ:
+        via = 0
+        for v in bit_indices(row):
+            via |= p.succ[v]
+        out.append(row & ~via)
+    return tuple(out)
+
+
 def max_antichain_bruteforce(p: Poset) -> frozenset[int]:
     """Exponential maximum-antichain oracle, for n <= BRUTE_FORCE_CAP.
 

@@ -1,12 +1,15 @@
-"""The byte-block kernels against the per-pair and per-bit paths they replaced.
+"""The bit-parallel kernels against the per-pair and per-bit paths they replaced.
 
 check_embedding, embed_with_antichain, mask_to_text and Poset.pred work
-on whole rows and byte blocks.  The oracles in helpers.py do the same jobs
-one pair or one bit at a time, and every answer here must match them
-exactly: verdict, witness and reason, certificate bits, and text.
+on whole rows and byte blocks; Poset validation and Poset.covers take one
+step per greedy cover pick.  The oracles in helpers.py do the same jobs
+one pair or one bit at a time, and every answer here must match them:
+verdict, witness and reason, certificate bits, text and cover masks.
 """
 
 from __future__ import annotations
+
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -27,10 +30,12 @@ from posetcube.poset import (
 from helpers import (
     check_embedding_naive,
     check_embedding_pairwise,
+    covers_reference,
     embed_with_antichain_reference,
     mask_to_text_reference,
     planted_poset,
     pred_reference,
+    validate_pairwise,
     witness_rejected,
 )
 
@@ -172,3 +177,83 @@ class TestPred:
         p = random_poset(n, prob ** 2, seed)
         assert p.pred == pred_reference(p)
 
+
+def rejection(check, n: int, succ) -> str | None:
+    """The ValueError message of check(n, succ), None if it passes."""
+    try:
+        check(n, succ)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def assert_real_violation(succ, message: str) -> None:
+    """The rejection names a pair or element that really breaks the order."""
+    numbers = tuple(map(int, re.findall(r"\d+", message)))
+    if message.startswith("irreflexivity"):
+        (u,) = numbers
+        assert succ[u] >> u & 1
+        return
+    u, v = numbers
+    assert succ[u] >> v & 1
+    if message.startswith("antisymmetry"):
+        assert succ[v] >> u & 1
+    else:
+        assert message.startswith("relation not transitively closed")
+        assert not succ[v] >> u & 1
+        assert succ[v] & ~succ[u]
+
+
+class TestValidator:
+    # Poset(n, succ) checks closedness by greedy cover picks; the oracle
+    # walks every comparable pair
+
+    @pytest.mark.parametrize("n, posets", [(0, 1), (1, 1), (2, 3), (3, 19), (4, 219)])
+    def test_every_relation_up_to_four(self, n, posets):
+        accepted = 0
+        for code in range(1 << (n * n)):
+            succ = tuple(code >> (n * u) & ((1 << n) - 1) for u in range(n))
+            expected = rejection(validate_pairwise, n, succ)
+            got = rejection(Poset, n, succ)
+            assert (got is None) == (expected is None), succ
+            if got is None:
+                accepted += 1
+            else:
+                assert_real_violation(succ, got)
+        assert accepted == posets  # the labeled poset counts
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 70),
+        st.floats(0.0, 1.0),
+        st.integers(0, 2**32),
+        st.integers(1, 2),
+        st.randoms(use_true_random=False),
+    )
+    def test_flipped_posets_agree_with_oracle(self, n, prob, seed, flips, rng):
+        succ = list(random_poset(n, prob ** 2, seed).succ)
+        for _ in range(flips if n else 0):
+            succ[rng.randrange(n)] ^= 1 << rng.randrange(n)
+        succ = tuple(succ)
+        expected = rejection(validate_pairwise, n, succ)
+        got = rejection(Poset, n, succ)
+        assert (got is None) == (expected is None)
+        if got is not None:
+            assert_real_violation(succ, got)
+
+    def test_rejects_out_of_range_rows(self):
+        for succ in ((0b100, 0), (-1, 0)):
+            assert rejection(Poset, 2, succ) == rejection(validate_pairwise, 2, succ)
+
+
+class TestCovers:
+    @pytest.mark.parametrize("n, prob", [(200, 0.3), (600, 3 / 600), (300, 0.05)])
+    def test_benchmark_shapes(self, n, prob):
+        p = random_poset(n, prob, 3)
+        assert p.covers == covers_reference(p)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 70), st.floats(0.0, 1.0), st.integers(0, 2**32))
+    def test_equals_reference(self, n, prob, seed):
+        p = random_poset(n, prob ** 2, seed)
+        assert p.covers == covers_reference(p)

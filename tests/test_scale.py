@@ -1,6 +1,7 @@
-"""Opt-in scale targets: n = 5000 through parse, verified embed and write.
+"""Opt-in scale targets: n = 5000 through parse, verified embed and write,
+and dense n = 2000 through parse, ``pred`` and ``covers``.
 
-Each case runs ``parse_poset`` -> ``embed`` (which verifies) ->
+Each n = 5000 case runs ``parse_poset`` -> ``embed`` (which verifies) ->
 ``write_embedding`` in a fresh interpreter, so that its peak RSS is the
 pipeline's own.  The default run deselects them; run them with
 ``python -m pytest -q -m scale``.
@@ -11,11 +12,12 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from posetcube import random_poset, write_poset
+from posetcube import parse_poset, random_poset, write_poset
 
 pytestmark = pytest.mark.scale
 
@@ -58,7 +60,18 @@ def test_sparse_5000_under_5_s_and_150_mb(tmp_path):
 
 
 def test_antichain_5000_under_5_s(tmp_path):
-    # its certificate text is about 78 MB and is built whole, so its peak
-    # RSS is reported above rather than bounded here
-    seconds, _ = run_pipeline(tmp_path, "5000\n")
+    # its certificate text is about 78 MB and is built whole before it is
+    # written, so it gets a looser memory bound than the sparse case
+    seconds, rss_mb = run_pipeline(tmp_path, "5000\n")
     assert seconds < 5
+    assert rss_mb < 200
+
+
+def test_dense_2000_parse_pred_covers_under_half_a_second():
+    text = write_poset(random_poset(2000, 0.05, 1))
+    start = time.perf_counter()
+    p = parse_poset(text)
+    assert len(p.pred) == len(p.covers) == 2000
+    seconds = time.perf_counter() - start
+    print(f"{seconds:.3f} s")
+    assert seconds < 0.5
