@@ -11,7 +11,6 @@ along a minimum chain cover and sends each element to its downset.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
@@ -133,13 +132,6 @@ def partition_count(n: int) -> int:
             k += 1
         _PARTITION_COUNTS.append(total)
     return _PARTITION_COUNTS[n]
-
-
-def hardy_ramanujan(n: int) -> float:
-    """Leading-term asymptotic estimate of the partition count."""
-    if n < 1:
-        raise ValueError("estimate defined for n >= 1")
-    return math.exp(math.pi * math.sqrt(2.0 * n / 3.0)) / (4.0 * math.sqrt(3.0) * n)
 
 
 def _family_masks(c: PartitionSeq) -> list[int]:

@@ -1,11 +1,10 @@
 """Command-line interface.
 
-Five subcommands: family materializes the chain family, embed turns a
-poset file into a verified embedding certificate, verify-all exhausts
-every labeled poset at desk scale, stats tabulates exact family sizes
-against the bound, partitions exposes the partition engine.  Exit codes
-are stable: 0 success, 1 bad arguments or malformed input, 2 cap
-exceeded, 3 internal verification failure (never expected).
+Three subcommands: family materializes the chain family, embed turns a
+poset file into a verified embedding certificate, stats tabulates exact
+family sizes against the bound.  Exit codes are stable: 0 success, 1 bad
+arguments or malformed input, 2 cap exceeded, 3 internal verification
+failure (never expected).
 """
 
 from __future__ import annotations
@@ -16,13 +15,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .chainfamily import (
-    DEFAULT_MAX_SETS,
-    chain_family,
-    partition_count,
-    partitions,
-    write_family,
-)
+from .chainfamily import DEFAULT_MAX_SETS, chain_family, write_family
 from .errors import MemoryLimitError, PosetCubeError, VerificationError
 from .poset import parse_poset
 from .universal import (
@@ -30,7 +23,6 @@ from .universal import (
     cardinality,
     embed_with_branch,
     size_bound,
-    verify_universality,
     write_embedding,
 )
 
@@ -95,19 +87,10 @@ def build_parser() -> argparse.ArgumentParser:
     embed.add_argument("--out", default=None)
     embed.set_defaults(handler=cmd_embed)
 
-    verify = sub.add_parser("verify-all", help="embed every labeled poset on n elements")
-    verify.add_argument("--n", type=_parse_range, required=True)
-    verify.set_defaults(handler=cmd_verify_all)
-
     stats = sub.add_parser("stats", help="family size against the bound, per n")
     stats.add_argument("--n", type=_parse_range, required=True, metavar="N or A..B")
     stats.add_argument("--a", type=int, default=None)
     stats.set_defaults(handler=cmd_stats)
-
-    parts = sub.add_parser("partitions", help="partition count, optionally the stream")
-    parts.add_argument("--n", type=_parse_range, required=True)
-    parts.add_argument("--list", dest="list_items", action="store_true")
-    parts.set_defaults(handler=cmd_partitions)
 
     return parser
 
@@ -137,17 +120,6 @@ def cmd_embed(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_verify_all(args: argparse.Namespace) -> int:
-    report = verify_universality(_single_n(args))
-    print(f"{report.passed}/{report.total}")
-    print(
-        f"chain-cover={report.chain_cover}"
-        f" antichain-labels={report.antichain_labels}"
-        f" folklore={report.folklore}"
-    )
-    return EXIT_OK if report.failed == 0 else EXIT_VERIFY
-
-
 def cmd_stats(args: argparse.Namespace) -> int:
     lo, hi = args.n
     blocks = []
@@ -162,17 +134,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
         lines.append(f"excess_bits={(bits - 2 * n / 3) / math.sqrt(n):.6f}")
         blocks.append("\n".join(lines))
     print("\n\n".join(blocks))
-    return EXIT_OK
-
-
-def cmd_partitions(args: argparse.Namespace) -> int:
-    n = _single_n(args)
-    if n < 0:
-        raise ValueError("need a non-negative count")
-    print(partition_count(n))
-    if args.list_items:
-        for c in partitions(n, n):
-            print(",".join(str(part) for part in c.parts) or "-")
     return EXIT_OK
 
 

@@ -18,10 +18,8 @@ from functools import cached_property
 from itertools import compress
 from typing import Iterable, Iterator, Sequence
 
-from .errors import CycleError, FormatError, LimitError, SizeMismatchError
+from .errors import CycleError, FormatError, SizeMismatchError
 
-# Hard cap for the exponential enumeration.
-ENUMERATION_CAP = 6
 # Largest element or ground-set count a file header may declare; parsers
 # reject bigger ones before allocating anything of that size.
 MAX_ELEMENTS = 1 << 16
@@ -411,57 +409,6 @@ def check_embedding(p: Poset, emb: Embedding) -> EmbeddingCheck:
             reason = "containment without order" if row >> v & 1 else "order without containment"
             return EmbeddingCheck(False, (u, v), reason)
     return EmbeddingCheck(True)
-
-
-def enumerate_posets(n: int) -> Iterator[Poset]:
-    """Yield every labeled poset on n elements exactly once.
-
-    Elements are added one at a time; for each new element every valid
-    (downset, upset) pair against the already-built poset is tried.  Each
-    labeled poset arises from exactly one choice sequence because its
-    restriction to the first k labels determines step k, so no
-    deduplication is needed.  Guarded because counts explode (4231 posets
-    at n=5, 130023 at n=6).
-    """
-    if n < 0:
-        raise ValueError("element count must be non-negative")
-    if n > ENUMERATION_CAP:
-        raise LimitError(f"poset enumeration capped at n={ENUMERATION_CAP}, got n={n}")
-    return _extend_posets(n, [], [])
-
-
-def _extend_posets(n: int, succ: list[int], pred: list[int]) -> Iterator[Poset]:
-    k = len(succ)
-    if k == n:
-        yield Poset(n, tuple(succ))
-        return
-    universe = (1 << k) - 1
-    for down in range(1 << k):
-        # down must be closed downward, otherwise closure would grow it
-        closure = 0
-        for v in bit_indices(down):
-            closure |= pred[v]
-        if closure & ~down:
-            continue
-        # upset candidates must already lie above every chosen down element
-        allowed = universe & ~down
-        for v in bit_indices(down):
-            allowed &= succ[v]
-        up = allowed
-        while True:
-            closure = 0
-            for v in bit_indices(up):
-                closure |= succ[v]
-            if not closure & ~up:
-                bit = 1 << k
-                new_succ = [succ[i] | bit if (down >> i) & 1 else succ[i] for i in range(k)]
-                new_succ.append(up)
-                new_pred = [pred[i] | bit if (up >> i) & 1 else pred[i] for i in range(k)]
-                new_pred.append(down)
-                yield from _extend_posets(n, new_succ, new_pred)
-            if up == 0:
-                break
-            up = (up - 1) & allowed
 
 
 def random_poset(n: int, edge_prob: float, seed: int) -> Poset:

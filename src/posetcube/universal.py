@@ -27,25 +27,17 @@ from .chainfamily import (
 from .dilworth import ChainDecomposition, min_chain_decomposition
 # unused here, but the benchmark's tracer test wraps universal.max_antichain
 from .dilworth import max_antichain  # noqa: F401
-from .errors import (
-    FormatError,
-    LimitError,
-    SizeMismatchError,
-    VerificationError,
-)
+from .errors import FormatError, SizeMismatchError, VerificationError
 from .poset import (
     MAX_ELEMENTS,
     Embedding,
     Poset,
     SubsetMask,
     check_embedding,
-    enumerate_posets,
     folklore_embed,
     mask_from_text,
     mask_to_text,
 )
-
-VERIFY_CAP = 5
 
 BRANCH_CHAIN = "chain-cover"
 BRANCH_ANTICHAIN = "antichain-labels"
@@ -190,47 +182,6 @@ def _verify(
         for j, bits in enumerate(emb.masks):
             if bits >> u.m:
                 raise VerificationError(f"image of element {j} escapes the lattice part")
-
-
-@dataclass(frozen=True)
-class UniversalityReport:
-    """Outcome of exhaustively embedding every labeled poset on n elements."""
-
-    n: int
-    total: int
-    passed: int
-    chain_cover: int
-    antichain_labels: int
-    folklore: int
-
-    @property
-    def failed(self) -> int:
-        return self.total - self.passed
-
-
-def verify_universality(n: int) -> UniversalityReport:
-    """Embed every labeled poset on n elements and tally the outcomes."""
-    if n > VERIFY_CAP:
-        raise LimitError(f"exhaustive verification capped at n={VERIFY_CAP}, got n={n}")
-    u = build_universal(n)
-    total = passed = 0
-    branches = {BRANCH_CHAIN: 0, BRANCH_ANTICHAIN: 0, BRANCH_FOLKLORE: 0}
-    for p in enumerate_posets(n):
-        total += 1
-        try:
-            _, branch = embed_with_branch(u, p)
-        except VerificationError:
-            continue
-        passed += 1
-        branches[branch] += 1
-    return UniversalityReport(
-        n,
-        total,
-        passed,
-        branches[BRANCH_CHAIN],
-        branches[BRANCH_ANTICHAIN],
-        branches[BRANCH_FOLKLORE],
-    )
 
 
 def write_embedding(emb: Embedding) -> str:

@@ -6,13 +6,20 @@ re-derives the counts by filtering pair orientations, and partition counts
 come from a direct table.  Agreement between these and the library is the
 point, so none of this should be "simplified" to call back into the code
 under test.
+
+Two exponential tools live here rather than in the package, because the
+embedding job never needs them: enumerate_posets, which yields every
+labeled poset on n elements for the exhaustive tests (n <= 5), and
+hardy_ramanujan, the asymptotic estimate that p(n) is checked against.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from collections import deque
 from itertools import combinations, product
+from typing import Iterator
 
 from posetcube import LimitError, Poset, SizeError, SizeMismatchError
 from posetcube.antichain import classify
@@ -48,6 +55,55 @@ def enumerate_posets_filter(n: int):
         for u, v in less:
             succ[u] |= 1 << v
         yield Poset(n, tuple(succ))
+
+
+def enumerate_posets(n: int) -> Iterator[Poset]:
+    """Yield every labeled poset on n elements exactly once.
+
+    Elements are added one at a time; for each new element every valid
+    (downset, upset) pair against the already-built poset is tried.  Each
+    labeled poset arises from exactly one choice sequence because its
+    restriction to the first k labels determines step k, so no
+    deduplication is needed.  Counts explode (4231 posets at n=5, 130023
+    at n=6), so callers stay at n <= 5.
+    """
+    if n < 0:
+        raise ValueError("element count must be non-negative")
+    return _extend_posets(n, [], [])
+
+
+def _extend_posets(n: int, succ: list[int], pred: list[int]) -> Iterator[Poset]:
+    k = len(succ)
+    if k == n:
+        yield Poset(n, tuple(succ))
+        return
+    universe = (1 << k) - 1
+    for down in range(1 << k):
+        # down must be closed downward, otherwise closure would grow it
+        closure = 0
+        for v in bit_indices(down):
+            closure |= pred[v]
+        if closure & ~down:
+            continue
+        # upset candidates must already lie above every chosen down element
+        allowed = universe & ~down
+        for v in bit_indices(down):
+            allowed &= succ[v]
+        up = allowed
+        while True:
+            closure = 0
+            for v in bit_indices(up):
+                closure |= succ[v]
+            if not closure & ~up:
+                bit = 1 << k
+                new_succ = [succ[i] | bit if (down >> i) & 1 else succ[i] for i in range(k)]
+                new_succ.append(up)
+                new_pred = [pred[i] | bit if (up >> i) & 1 else pred[i] for i in range(k)]
+                new_pred.append(down)
+                yield from _extend_posets(n, new_succ, new_pred)
+            if up == 0:
+                break
+            up = (up - 1) & allowed
 
 
 def check_embedding_naive(p: Poset, emb: Embedding) -> bool:
@@ -337,6 +393,13 @@ def partition_count_table(n: int, max_parts: int) -> int:
                 table[total - k][k] if total >= k else 0
             )
     return table[n][max_parts]
+
+
+def hardy_ramanujan(n: int) -> float:
+    """Leading-term asymptotic estimate of the partition count."""
+    if n < 1:
+        raise ValueError("estimate defined for n >= 1")
+    return math.exp(math.pi * math.sqrt(2.0 * n / 3.0)) / (4.0 * math.sqrt(3.0) * n)
 
 
 def is_prefix_union_naive(elements: set[int], parts) -> bool:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from posetcube import (
     build_universal,
     cardinality,
     check_embedding,
+    embed_with_branch,
     parse_embedding,
     parse_family,
     parse_poset,
@@ -34,15 +36,13 @@ from posetcube.chainfamily import (
     _family_masks,
     chain_family,
     family_for_partition,
-    hardy_ramanujan,
     partition_count,
     partitions,
 )
 from posetcube.cli import main
 from posetcube.dilworth import max_antichain, min_chain_decomposition
-from posetcube.poset import Embedding, enumerate_posets
-from posetcube.universal import verify_universality
-from helpers import max_antichain_bruteforce, planted_poset
+from posetcube.poset import Embedding
+from helpers import enumerate_posets, hardy_ramanujan, max_antichain_bruteforce, planted_poset
 
 # exact family sizes for the default budget, frozen after first computation
 CARDINALITY_FIXTURE = {
@@ -70,11 +70,11 @@ def test_criterion_1_exhaustive_universality(announce):
         start = time.time()
         total = 0
         for n, expected in LABELED_POSET_COUNTS.items():
-            report = verify_universality(n)
-            assert report.total == expected, (n, report.total)
-            assert report.passed == expected
-            assert report.failed == 0
-            total += report.total
+            u = build_universal(n)
+            # embed_with_branch verifies each embedding and raises on failure
+            counted = Counter(embed_with_branch(u, p)[1] for p in enumerate_posets(n))
+            assert sum(counted.values()) == expected, (n, counted)
+            total += expected
         elapsed = time.time() - start
         assert elapsed < 300.0
         detail = f"{total} posets over n=1..5 embedded and verified in {elapsed:.1f}s"

@@ -17,8 +17,7 @@ from posetcube import (
 )
 from posetcube.antichain import AntichainSplit, classify, embed_with_antichain, min_ell
 from posetcube.dilworth import max_antichain
-from posetcube.poset import enumerate_posets
-from helpers import check_embedding_naive, planted_poset
+from helpers import check_embedding_naive, enumerate_posets, planted_poset
 
 # one element under two incomparable ones, a fourth above the first of them
 FAN = Poset.from_relations(4, [(0, 1), (0, 2), (1, 3)])

@@ -29,16 +29,16 @@ from posetcube.chainfamily import (
     chain_family_counts,
     embed_bounded_antichain,
     family_for_partition,
-    hardy_ramanujan,
     is_cell_prefix_union,
     member_of_chain_family,
     partition_count,
     partitions,
 )
 from posetcube.dilworth import max_antichain, min_chain_decomposition
-from posetcube.poset import enumerate_posets
 from helpers import (
+    enumerate_posets,
     family_masks_product,
+    hardy_ramanujan,
     is_prefix_union_naive,
     naive_chain_family,
     partition_count_table,
@@ -63,6 +63,9 @@ class TestPartitions:
         assert [c.parts for c in partitions(0, 0)] == [()]
 
     def test_reverse_lexicographic_order(self):
+        assert [c.parts for c in partitions(4, 4)] == [
+            (4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1),
+        ]
         for n, k in [(8, 8), (10, 4), (12, 3)]:
             seen = [c.parts for c in partitions(n, k)]
             assert seen == sorted(seen, reverse=True)

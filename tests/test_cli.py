@@ -10,7 +10,7 @@ import posetcube.chainfamily
 import posetcube.universal
 from posetcube import Poset, parse_embedding, random_poset, write_poset
 from posetcube.chainfamily import chain_family
-from posetcube.cli import main
+from posetcube.cli import build_parser, main
 from helpers import fence_poset
 
 CHAIN5 = "5\n0 < 1\n1 < 2\n2 < 3\n3 < 4\n"
@@ -144,22 +144,6 @@ class TestEmbedCommand:
         assert capsys.readouterr().out == ""
 
 
-class TestVerifyAllCommand:
-    def test_three(self, capsys):
-        assert main(["verify-all", "--n", "3"]) == 0
-        out = capsys.readouterr().out
-        assert "19/19" in out
-
-    def test_four_reports_branches(self, capsys):
-        assert main(["verify-all", "--n", "4"]) == 0
-        out = capsys.readouterr().out
-        assert "219/219" in out
-        assert "chain-cover=174 antichain-labels=45 folklore=0" in out
-
-    def test_above_cap_exits_one(self, capsys):
-        assert main(["verify-all", "--n", "6"]) == 1
-
-
 class TestStatsCommand:
     def test_single_row(self, capsys):
         assert main(["stats", "--n", "1"]) == 0
@@ -198,24 +182,6 @@ class TestStatsCommand:
         assert capsys.readouterr().out == ""
 
 
-class TestPartitionsCommand:
-    def test_count_ten(self, capsys):
-        assert main(["partitions", "--n", "10"]) == 0
-        assert capsys.readouterr().out == "42\n"
-
-    def test_count_zero(self, capsys):
-        assert main(["partitions", "--n", "0"]) == 0
-        assert capsys.readouterr().out == "1\n"
-
-    def test_count_fifty(self, capsys):
-        assert main(["partitions", "--n", "50"]) == 0
-        assert capsys.readouterr().out == "204226\n"
-
-    def test_listing(self, capsys):
-        assert main(["partitions", "--n", "4", "--list"]) == 0
-        assert capsys.readouterr().out == "5\n4\n3,1\n2,2\n2,1,1\n1,1,1,1\n"
-
-
 class TestUsageErrors:
     def test_no_command(self, capsys):
         assert main([]) == 1
@@ -240,5 +206,14 @@ class TestUsageErrors:
         assert main(["family", "--n", "4", "--cap", "-1"]) == 1
 
     def test_seed_flag_rejected(self, capsys):
-        assert main(["--seed", "7", "partitions", "--n", "3"]) == 1
+        assert main(["--seed", "7", "stats", "--n", "3"]) == 1
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("command", ["verify-all", "partitions"])
+    def test_removed_command_rejected(self, command, capsys):
+        assert main([command, "--n", "3"]) == 1
+        assert capsys.readouterr().out == ""
+
+    def test_subcommands_are_exactly_the_embedding_job(self):
+        (sub,) = [a for a in build_parser()._actions if a.dest == "command"]
+        assert set(sub.choices) == {"family", "embed", "stats"}

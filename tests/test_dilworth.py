@@ -14,8 +14,8 @@ from posetcube.dilworth import (
     max_antichain,
     min_chain_decomposition,
 )
-from posetcube.poset import enumerate_posets
 from helpers import (
+    enumerate_posets,
     fence_poset,
     has_augmenting_path,
     hopcroft_karp_reference,

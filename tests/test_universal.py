@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,6 @@ import posetcube.chainfamily
 import posetcube.universal
 from posetcube import (
     FormatError,
-    LimitError,
     MemoryLimitError,
     Poset,
     SizeMismatchError,
@@ -29,14 +29,9 @@ from posetcube import (
 )
 from posetcube.antichain import min_ell
 from posetcube.chainfamily import chain_family, partition_count, partitions
-from posetcube.poset import Embedding, enumerate_posets, folklore_embed
-from posetcube.universal import (
-    BRANCH_ANTICHAIN,
-    BRANCH_CHAIN,
-    BRANCH_FOLKLORE,
-    verify_universality,
-)
-from helpers import cardinality_materialized, fence_poset, naive_chain_family
+from posetcube.poset import Embedding, folklore_embed
+from posetcube.universal import BRANCH_ANTICHAIN, BRANCH_CHAIN, BRANCH_FOLKLORE
+from helpers import cardinality_materialized, enumerate_posets, fence_poset, naive_chain_family
 
 
 class TestBuildUniversal:
@@ -169,15 +164,19 @@ class TestEmbed:
         emb, branch = embed_with_branch(u, p)
         assert branch == BRANCH_FOLKLORE
         assert emb.masks == folklore_embed(p).masks
+        for n, total in [(2, 3), (3, 19)]:
+            u = build_universal(n)
+            branches = Counter(embed_with_branch(u, q)[1] for q in enumerate_posets(n))
+            assert branches == {BRANCH_FOLKLORE: total}
 
     def test_exhaustive_n_four_covers_both_branches(self):
         u = build_universal(4)
-        branches = set()
+        branches = Counter()
         for p in enumerate_posets(4):
             emb, branch = embed_with_branch(u, p)
-            branches.add(branch)
+            branches[branch] += 1
             assert all(membership(u, SubsetMask(4, bits)) for bits in emb.masks)
-        assert branches == {BRANCH_CHAIN, BRANCH_ANTICHAIN}
+        assert branches == {BRANCH_CHAIN: 174, BRANCH_ANTICHAIN: 45}
 
     def test_long_augmenting_path(self):
         p = fence_poset(1200)
@@ -205,17 +204,6 @@ class TestEmbed:
         assert emb.m == n
         for bits in emb.masks:
             assert membership(u, SubsetMask(n, bits))
-
-
-class TestVerifyUniversality:
-    def test_two(self):
-        report = verify_universality(2)
-        assert (report.total, report.passed, report.failed) == (3, 3, 0)
-        assert report.folklore == 3
-
-    def test_cap(self):
-        with pytest.raises(LimitError):
-            verify_universality(6)
 
 
 class TestEmbeddingFormat:
