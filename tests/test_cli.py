@@ -3,15 +3,24 @@
 from __future__ import annotations
 
 import time
+from collections import Counter
 
 import pytest
 
 import posetcube.chainfamily
 import posetcube.universal
-from posetcube import Poset, parse_embedding, random_poset, write_poset
-from posetcube.chainfamily import chain_family
+from posetcube import (
+    Poset,
+    build_universal,
+    embed_with_branch,
+    parse_embedding,
+    random_poset,
+    write_poset,
+)
+from posetcube.chainfamily import chain_family, partition_count, partitions
 from posetcube.cli import build_parser, main
-from helpers import fence_poset
+from posetcube.universal import BRANCH_ANTICHAIN, BRANCH_CHAIN, BRANCH_FOLKLORE
+from helpers import enumerate_posets, fence_poset
 
 CHAIN5 = "5\n0 < 1\n1 < 2\n2 < 3\n3 < 4\n"
 ANTI5 = "5\n"
@@ -144,6 +153,26 @@ class TestEmbedCommand:
         assert capsys.readouterr().out == ""
 
 
+class TestVerifyAllCommand:
+    """The figures the removed verify-all subcommand printed.
+
+    The exhaustive sweep is a test tool now: enumerate every labeled poset
+    and embed it.  embed_with_branch verifies each embedding and raises on
+    failure, so a full Counter means every poset passed.
+    """
+
+    @staticmethod
+    def sweep(n):
+        u = build_universal(n)
+        return Counter(embed_with_branch(u, p)[1] for p in enumerate_posets(n))
+
+    def test_three(self):
+        assert self.sweep(3) == {BRANCH_FOLKLORE: 19}
+
+    def test_four_reports_branches(self):
+        assert self.sweep(4) == {BRANCH_CHAIN: 174, BRANCH_ANTICHAIN: 45}
+
+
 class TestStatsCommand:
     def test_single_row(self, capsys):
         assert main(["stats", "--n", "1"]) == 0
@@ -180,6 +209,24 @@ class TestStatsCommand:
     def test_cap_flag_rejected(self, capsys):
         assert main(["stats", "--n", "10", "--cap", "4"]) == 1
         assert capsys.readouterr().out == ""
+
+
+class TestPartitionsCommand:
+    """The figures the removed partitions subcommand printed, from the calls it made."""
+
+    def test_count_ten(self):
+        assert partition_count(10) == 42
+
+    def test_count_zero(self):
+        assert partition_count(0) == 1
+
+    def test_count_fifty(self):
+        assert partition_count(50) == 204226
+
+    def test_listing(self):
+        assert [c.parts for c in partitions(4, 4)] == [
+            (4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1),
+        ]
 
 
 class TestUsageErrors:
