@@ -4,16 +4,17 @@ Fix an antichain A of size a in a poset on n elements and let ell be the
 least width for which the middle binomial coefficient reaches a.  The
 ground set [n-a+ell] splits into three blocks: positions for the elements
 lying below A, a label block of width ell whose half-size subsets tag the
-antichain elements, and positions for everything else.  Images are built
-so that containment across blocks reproduces the order exactly, which is
-what buys the drop from n to n-a+ell ground elements.
+antichain elements, and positions for everything else.  Every position
+is held by an up-set of the poset (the rule of the universal module); the
+a antichain elements share the ell label positions, which is what buys
+the drop from n to n-a+ell ground elements.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import islice
 
 from .errors import NotAnAntichainError, SizeError
 from .poset import Embedding, Poset, bit_indices, transpose
@@ -30,22 +31,17 @@ def min_ell(a: int) -> int:
 
 
 def colex_half_subsets(lo: int, ell: int, count: int) -> tuple[int, ...]:
-    """First `count` masks of the (ell//2)-subsets of [lo+1, lo+ell], colex order.
+    """First `count` masks of the (ell//2)-subsets of bits lo..lo+ell-1, colex order.
 
-    Positions are 1-indexed ground elements; the returned masks use bit
-    e-1 for element e, matching the package-wide convention.
+    Colex order on k-subsets is the numeric order of their masks, so these
+    are the least ints below 2^ell with ell//2 set bits, shifted up by lo.
     """
-    pool = range(lo + 1, lo + ell + 1)
-    combos = sorted(combinations(pool, ell // 2), key=lambda t: t[::-1])
-    if count > len(combos):
-        raise ValueError(f"only {len(combos)} labels available, need {count}")
-    out = []
-    for combo in combos[:count]:
-        mask = 0
-        for e in combo:
-            mask |= 1 << (e - 1)
-        out.append(mask)
-    return tuple(out)
+    half = ell // 2
+    available = math.comb(ell, half)
+    if count > available:
+        raise ValueError(f"only {available} labels available, need {count}")
+    masks = (x << lo for x in range(1 << ell) if x.bit_count() == half)
+    return tuple(islice(masks, count))
 
 
 @dataclass(frozen=True)
@@ -140,27 +136,18 @@ def embed_with_antichain(
 ) -> Embedding:
     """Embed p into the Boolean lattice on [n-a+ell] using the antichain.
 
-    Images follow three clauses.  A below element takes the positions of
-    the below elements at or under it.  An antichain element takes its
-    below part, its own label, and the positions of the above elements it
-    is *not* under.  An above element takes its below part, the whole
-    label window, and the positions of the above elements *not* at or
-    over it: missing positions, not present ones, encode the order upward,
-    which keeps every antichain image inside its peers' above-blocks
-    except where order demands otherwise.
+    The m up-set columns (the universal module states the rule) are, in
+    ground order:
 
-    The images are built one ground position at a time, as the column of
-    elements whose image holds it, and then transposed into rows:
+    - below position i (element x_i): the elements at or over x_i,
+      succ[x_i] | 1 << x_i;
+    - label position j: every above element and the antichain elements
+      whose label has it;
+    - above position t (element z_t): the antichain and above elements not
+      at or under z_t, the complement of pred[z_t] | 1 << z_t.
 
-    - below position i (element x_i) is held by the elements at or over
-      x_i, the row succ[x_i] | 1 << x_i;
-    - label position j is held by every above element and by the antichain
-      elements whose label has it;
-    - above position t (element z_t) is held by the antichain and above
-      elements not at or under z_t, the complement of pred[z_t] | 1 << z_t.
-
-    That is O(m) big-int operations plus one transpose of an m-by-n bit
-    matrix in C, with no Python step per pair of elements.
+    Distinct labels of one size keep the antichain images pairwise
+    incomparable.
     """
     split = classify(p, antichain)
     if len(split.antichain) < 2:

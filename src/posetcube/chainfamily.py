@@ -5,8 +5,9 @@ those sizes.  The family attached to the partition holds every subset of
 [n] that meets each cell in a prefix of that cell, so it has exactly
 prod(c_i + 1) members.  Unioning the families over all partitions of n
 into at most a parts gives a small Boolean-lattice fragment into which
-every poset of width at most a embeds; the embedding renames elements
-along a minimum chain cover and sends each element to its downset.
+every poset of width at most a embeds; the embedding lays the chains of
+a chain cover out as the cells, and gives position j of a chain to the
+up-set of its j-th element (the rule of the universal module).
 """
 
 from __future__ import annotations
@@ -18,7 +19,9 @@ from typing import Iterator
 
 from .dilworth import ChainDecomposition, decomposition_into_exactly
 from .errors import FormatError, LimitError, MemoryLimitError
-from .poset import MAX_ELEMENTS, Embedding, Poset, SubsetMask, mask_from_text, mask_to_text
+from .poset import (
+    MAX_ELEMENTS, Embedding, Poset, SubsetMask, mask_from_text, mask_to_text, transpose
+)
 
 PARTITION_SCAN_CAP = 40
 DEFAULT_MAX_SETS = 1 << 24
@@ -241,36 +244,18 @@ def embed_bounded_antichain(
 ) -> Embedding:
     """Embed a poset of width at most a into the chain family over [n].
 
-    Elements are renamed along a chain cover of p into at most a chains,
-    by default the canonical minimum one, cell i holding chain i; the
-    image of an element takes from each cell the prefix covering the part
-    of its downset lying on that chain.  Images are therefore per-cell
-    prefix unions for the cover's own partition.
+    Cell i holds chain i of a cover of p into at most a chains, by default
+    the canonical minimum one.  Position j of a chain c_0 < c_1 < ... is
+    the up-set column of c_j (the universal module states the rule), so
+    every image is a per-cell prefix union for the cover's own partition.
     """
     if dec is None:
         dec = decomposition_into_exactly(p, a)
     elif dec.poset != p or dec.width > a:
         raise ValueError(f"need a cover of this poset into at most {a} chains")
-    offsets = []
-    chain_masks = []
-    total = 0
-    for chain in dec.chains:
-        offsets.append(total)
-        mask = 0
-        for u in chain:
-            mask |= 1 << u
-        chain_masks.append(mask)
-        total += len(chain)
-    pred = p.pred
-    images = []
-    for j in range(p.n):
-        row = pred[j] | (1 << j)
-        bits = 0
-        for offset, chain_mask in zip(offsets, chain_masks):
-            d = (row & chain_mask).bit_count()
-            bits |= ((1 << d) - 1) << offset
-        images.append(bits)
-    return Embedding(p.n, tuple(images))
+    succ = p.succ
+    columns = [succ[c] | 1 << c for chain in dec.chains for c in chain]
+    return Embedding(p.n, transpose(columns, p.n))
 
 
 def decomposition_partition(p: Poset, a: int) -> PartitionSeq:

@@ -63,19 +63,12 @@ def _parse_cap(text: str) -> int:
     return cap
 
 
-def _single_n(args: argparse.Namespace) -> int:
-    lo, hi = args.n
-    if lo != hi:
-        raise ValueError("this command takes a single n, not a range")
-    return lo
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="posetcube", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     family = sub.add_parser("family", help="materialize the chain family over [n]")
-    family.add_argument("--n", type=_parse_range, required=True)
+    family.add_argument("--n", type=int, required=True)
     family.add_argument("--a", type=int, default=None)
     family.add_argument("--cap", type=_parse_cap, default=DEFAULT_MAX_SETS)
     family.add_argument("--out", default=None)
@@ -103,8 +96,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def cmd_family(args: argparse.Namespace) -> int:
-    n = _single_n(args)
-    fam = chain_family(n, build_universal(n, args.a).a, max_sets=args.cap)
+    fam = chain_family(args.n, build_universal(args.n, args.a).a, max_sets=args.cap)
     _emit(write_family(fam), args.out)
     return EXIT_OK
 

@@ -359,11 +359,10 @@ def transitive_closure(n: int, direct: Sequence[int]) -> list[int]:
 def folklore_embed(p: Poset) -> Embedding:
     """Embed p into the full Boolean lattice on [n] by downset indices.
 
-    Element j maps to the set of 1-indexed positions of the elements at or
-    below j; containment of images then mirrors the order exactly.
+    Position v is the up-set column of element v (the universal module
+    states the rule), so element j maps to the elements at or below j.
     """
-    pred = p.pred
-    return Embedding(p.n, tuple(pred[j] | (1 << j) for j in range(p.n)))
+    return Embedding(p.n, transpose([row | 1 << v for v, row in enumerate(p.succ)], p.n))
 
 
 def check_embedding(p: Poset, emb: Embedding) -> EmbeddingCheck:

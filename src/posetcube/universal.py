@@ -8,6 +8,13 @@ a-element antichain via the label construction.  With a about n/3 the
 total count stays near 2^(2n/3), far below the 2^n of the naive downset
 embedding, while still containing every n-element poset as an induced
 subfamily.
+
+All three constructions build an embedding the same way.  They list the
+m ground positions as columns, column i being the set of elements whose
+image holds position i, and call poset.transpose once to get the images.
+Every column is an up-set of the poset, so u <= v already gives
+image(u) within image(v); check_embedding verifies the converse and
+injectivity.  Each construction's docstring lists its columns.
 """
 
 from __future__ import annotations

@@ -201,6 +201,53 @@ def embed_with_antichain_reference(p: Poset, antichain) -> Embedding:
     return Embedding(split.ground_size, tuple(images))
 
 
+def embed_bounded_antichain_reference(p: Poset, dec) -> Embedding:
+    """The chain-cover construction one element and one chain at a time.
+
+    Cell i holds chain i of dec; the image of an element takes from each
+    cell the prefix as long as the part of its downset on that chain.
+    """
+    offsets = []
+    chain_masks = []
+    total = 0
+    for chain in dec.chains:
+        offsets.append(total)
+        mask = 0
+        for u in chain:
+            mask |= 1 << u
+        chain_masks.append(mask)
+        total += len(chain)
+    pred = pred_reference(p)
+    images = []
+    for j in range(p.n):
+        row = pred[j] | (1 << j)
+        bits = 0
+        for offset, chain_mask in zip(offsets, chain_masks):
+            d = (row & chain_mask).bit_count()
+            bits |= ((1 << d) - 1) << offset
+        images.append(bits)
+    return Embedding(p.n, tuple(images))
+
+
+def colex_half_subsets_reference(lo: int, ell: int, count: int) -> tuple[int, ...]:
+    """First `count` (ell//2)-subsets of [lo+1, lo+ell] in colex order, as masks.
+
+    Sorts the 1-indexed combinations by their reversed tuples and maps
+    element e to bit e-1.
+    """
+    pool = range(lo + 1, lo + ell + 1)
+    combos = sorted(combinations(pool, ell // 2), key=lambda t: t[::-1])
+    if count > len(combos):
+        raise ValueError(f"only {len(combos)} labels available, need {count}")
+    out = []
+    for combo in combos[:count]:
+        mask = 0
+        for e in combo:
+            mask |= 1 << (e - 1)
+        out.append(mask)
+    return tuple(out)
+
+
 def mask_to_text_reference(bits: int) -> str:
     """A ground-set mask as 1-indexed elements, one set bit at a time."""
     if bits == 0:

@@ -238,9 +238,11 @@ class TestUsageErrors:
 
     def test_unknown_flag(self, capsys):
         assert main(["family", "--n", "3", "--frobnicate"]) == 1
+        assert main(["stats", "--n", "4", "--cap", "-1"]) == 1  # stats has no --cap
 
     def test_range_where_single_n_expected(self, capsys):
         assert main(["family", "--n", "3..5"]) == 1
+        assert "invalid int value: '3..5'" in capsys.readouterr().err
 
     def test_bad_range_syntax(self, capsys):
         assert main(["stats", "--n", "x..y"]) == 1
@@ -249,8 +251,8 @@ class TestUsageErrors:
         assert main(["stats", "--n", "6..4"]) == 1
 
     def test_negative_cap(self, capsys):
-        assert main(["stats", "--n", "4", "--cap", "-1"]) == 1
         assert main(["family", "--n", "4", "--cap", "-1"]) == 1
+        assert "cap must be non-negative" in capsys.readouterr().err
 
     def test_seed_flag_rejected(self, capsys):
         assert main(["--seed", "7", "stats", "--n", "3"]) == 1

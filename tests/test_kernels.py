@@ -1,14 +1,18 @@
 """The bit-parallel kernels against the per-pair and per-bit paths they replaced.
 
-check_embedding, embed_with_antichain, mask_to_text and Poset.pred work
-on whole rows and byte blocks; Poset validation and Poset.covers take one
-step per greedy cover pick.  The oracles in helpers.py do the same jobs
-one pair or one bit at a time, and every answer here must match them:
-verdict, witness and reason, certificate bits, text and cover masks.
+check_embedding, the three constructions (folklore_embed,
+embed_bounded_antichain, embed_with_antichain), mask_to_text and
+Poset.pred work on whole rows and byte blocks; Poset validation and
+Poset.covers take one step per greedy cover pick; colex_half_subsets
+filters masks by popcount.  The oracles in helpers.py do the same jobs
+one pair, one bit or one combination at a time, and every answer here
+must match them: verdict, witness and reason, certificate bits, labels,
+text and cover masks.
 """
 
 from __future__ import annotations
 
+import math
 import re
 
 import pytest
@@ -16,9 +20,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posetcube import Poset, check_embedding, random_poset
-from posetcube.antichain import embed_with_antichain
+from posetcube.antichain import colex_half_subsets, embed_with_antichain
 from posetcube.chainfamily import embed_bounded_antichain
-from posetcube.dilworth import min_chain_decomposition
+from posetcube.dilworth import ChainDecomposition, min_chain_decomposition
 from posetcube.poset import (
     _PRED_DENSITY,
     Embedding,
@@ -30,7 +34,9 @@ from posetcube.poset import (
 from helpers import (
     check_embedding_naive,
     check_embedding_pairwise,
+    colex_half_subsets_reference,
     covers_reference,
+    embed_bounded_antichain_reference,
     embed_with_antichain_reference,
     mask_to_text_reference,
     planted_poset,
@@ -130,6 +136,52 @@ class TestLabels:
     def test_planted_equals_reference(self, n, seed):
         p, antichain = planted_poset(n, seed)
         assert embed_with_antichain(p, antichain) == embed_with_antichain_reference(p, antichain)
+
+
+class TestChainCover:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 70),
+        st.floats(0.0, 1.0),
+        st.integers(0, 2**32),
+        st.randoms(use_true_random=False),
+    )
+    def test_every_cover_equals_reference(self, n, prob, seed, rng):
+        # the minimum cover, all singletons, and the minimum cover's chains
+        # cut at random points and shuffled: each is a cover of p
+        p = random_poset(n, prob ** 3, seed)
+        dec = min_chain_decomposition(p)
+        pieces = []
+        for chain in dec.chains:
+            cuts = sorted(rng.sample(range(1, len(chain)), rng.randrange(len(chain))))
+            pieces += [chain[i:j] for i, j in zip([0, *cuts], [*cuts, len(chain)])]
+        rng.shuffle(pieces)
+        singletons = tuple((u,) for u in range(n))
+        for chains in (dec.chains, singletons, tuple(pieces)):
+            cover = ChainDecomposition(p, chains)
+            emb = embed_bounded_antichain(p, cover.width, cover)
+            assert emb == embed_bounded_antichain_reference(p, cover)
+
+
+class TestFolklore:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 70), st.floats(0.0, 1.0), st.integers(0, 2**32))
+    def test_images_are_downsets(self, n, prob, seed):
+        p = random_poset(n, prob ** 2, seed)
+        pred = pred_reference(p)
+        assert folklore_embed(p) == Embedding(n, tuple(pred[j] | 1 << j for j in range(n)))
+
+
+class TestColexLabels:
+    @pytest.mark.parametrize("lo", [0, 5])
+    @pytest.mark.parametrize("ell", range(18))
+    def test_equals_reference(self, ell, lo):
+        total = math.comb(ell, ell // 2)
+        for count in {0, 1, total // 2, total}:
+            assert colex_half_subsets(lo, ell, count) == colex_half_subsets_reference(lo, ell, count)
+        for labels in (colex_half_subsets, colex_half_subsets_reference):
+            with pytest.raises(ValueError, match=f"only {total} labels available"):
+                labels(lo, ell, total + 1)
 
 
 class TestMaskText:
