@@ -13,11 +13,10 @@ the drop from n to n-a+ell ground elements.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import islice
 
 from .errors import NotAnAntichainError, SizeError
-from .poset import Embedding, Poset, bit_indices, transpose
+from .poset import Embedding, Frozen, Poset, bit_indices, transpose
 
 
 def min_ell(a: int) -> int:
@@ -44,8 +43,7 @@ def colex_half_subsets(lo: int, ell: int, count: int) -> tuple[int, ...]:
     return tuple(islice(masks, count))
 
 
-@dataclass(frozen=True)
-class AntichainSplit:
+class AntichainSplit(Frozen):
     """The three-block layout induced by a chosen antichain.
 
     ``below`` holds the elements under some antichain element, ``above``
@@ -55,13 +53,21 @@ class AntichainSplit:
     elements take [b+ell+1, ..] in listed order.
     """
 
-    below: tuple[int, ...]
-    antichain: tuple[int, ...]
-    above: tuple[int, ...]
-    ell: int
-    label_masks: tuple[int, ...]
+    __slots__ = ("below", "antichain", "above", "ell", "label_masks")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        below: tuple[int, ...],
+        antichain: tuple[int, ...],
+        above: tuple[int, ...],
+        ell: int,
+        label_masks: tuple[int, ...],
+    ) -> None:
+        object.__setattr__(self, "below", below)
+        object.__setattr__(self, "antichain", antichain)
+        object.__setattr__(self, "above", above)
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "label_masks", label_masks)
         parts = (*self.below, *self.antichain, *self.above)
         if len(set(parts)) != len(parts):
             raise ValueError("blocks overlap")

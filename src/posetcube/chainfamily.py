@@ -14,26 +14,25 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import Iterator
+from collections.abc import Iterator
 
 from .dilworth import ChainDecomposition, decomposition_into_exactly
 from .errors import FormatError, LimitError, MemoryLimitError
 from .poset import (
-    MAX_ELEMENTS, Embedding, Poset, SubsetMask, mask_from_text, mask_to_text, transpose
+    MAX_ELEMENTS, Embedding, Frozen, Poset, SubsetMask, mask_from_text, mask_to_text, transpose
 )
 
 PARTITION_SCAN_CAP = 40
 DEFAULT_MAX_SETS = 1 << 24
 
 
-@dataclass(frozen=True)
-class PartitionSeq:
+class PartitionSeq(Frozen):
     """An integer partition: weakly decreasing positive parts."""
 
-    parts: tuple[int, ...]
+    __slots__ = ("parts",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, parts: tuple[int, ...]) -> None:
+        object.__setattr__(self, "parts", parts)
         for prev, part in zip(self.parts, self.parts[1:]):
             if part > prev:
                 raise ValueError(f"parts not weakly decreasing: {self.parts}")
@@ -55,14 +54,14 @@ class PartitionSeq:
         return "(" + ",".join(str(p) for p in self.parts) + ")"
 
 
-@dataclass(frozen=True)
-class SetFamily:
+class SetFamily(Frozen):
     """A deduplicated family of subsets of [m], sorted by mask value."""
 
-    m: int
-    masks: tuple[int, ...]
+    __slots__ = ("m", "masks")
 
-    def __post_init__(self) -> None:
+    def __init__(self, m: int, masks: tuple[int, ...]) -> None:
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "masks", masks)
         prev = -1
         for mask in self.masks:
             if mask <= prev:

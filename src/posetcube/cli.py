@@ -12,8 +12,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from pathlib import Path
-from typing import Sequence
+from collections.abc import Sequence
 
 from .chainfamily import DEFAULT_MAX_SETS, chain_family, write_family
 from .errors import MemoryLimitError, PosetCubeError, VerificationError
@@ -92,7 +91,8 @@ def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
     else:
-        Path(out_path).write_text(text)
+        with open(out_path, "w") as out:
+            out.write(text)
 
 
 def cmd_family(args: argparse.Namespace) -> int:
@@ -102,7 +102,8 @@ def cmd_family(args: argparse.Namespace) -> int:
 
 
 def cmd_embed(args: argparse.Namespace) -> int:
-    p = parse_poset(Path(args.in_path).read_text())
+    with open(args.in_path) as source:
+        p = parse_poset(source.read())
     if p.n < 1:
         raise ValueError("cannot embed the empty poset")
     emb, branch = embed_with_branch(build_universal(p.n, args.a), p)

@@ -23,17 +23,15 @@ succ[u] in ascending order gives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InfeasibleError
-from .poset import Poset, bit_indices
+from .poset import Frozen, Poset, bit_indices
 
 NO_MATE = -1
 
 
-@dataclass(frozen=True)
-class ChainDecomposition:
+class ChainDecomposition(Frozen):
     """A partition of the elements of a poset into chains.
 
     Each chain is a tuple of elements in increasing poset order.  Chains
@@ -41,10 +39,11 @@ class ChainDecomposition:
     inputs decompose identically.
     """
 
-    poset: Poset
-    chains: tuple[tuple[int, ...], ...]
+    __slots__ = ("poset", "chains", "__dict__")  # __dict__ holds lengths and antichain
 
-    def __post_init__(self) -> None:
+    def __init__(self, poset: Poset, chains: tuple[tuple[int, ...], ...]) -> None:
+        object.__setattr__(self, "poset", poset)
+        object.__setattr__(self, "chains", chains)
         seen = 0
         for chain in self.chains:
             for u in chain:

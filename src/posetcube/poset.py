@@ -10,13 +10,11 @@ lattice are 1-indexed wherever they are displayed or serialized.
 
 from __future__ import annotations
 
-import random
 import re
 import threading
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property
 from itertools import compress
-from typing import Iterable, Iterator, Sequence
 
 from .errors import CycleError, FormatError, SizeMismatchError
 
@@ -37,6 +35,48 @@ _DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 # rendered so far and never shrunk or rewritten.
 _POSITIONS: list[str] = []
 _POSITIONS_LOCK = threading.Lock()
+
+
+class Frozen:
+    """Base of the package's immutable value classes.
+
+    A subclass lists its fields, in order, in ``__slots__`` (plus
+    ``"__dict__"`` if it keeps cached properties) and sets each field once
+    in ``__init__`` through ``object.__setattr__``.  Equality holds between
+    instances of the same class with equal fields, the hash and the repr
+    (``Poset(n=2, succ=(2, 0))``) follow the fields, pickling and copying
+    rebuild through ``__init__``, and assigning or deleting any attribute
+    raises AttributeError.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(name for name in cls.__slots__ if name != "__dict__")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._values()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def bit_indices(mask: int) -> Iterator[int]:
@@ -107,18 +147,18 @@ def mask_from_text(text: str, m: int) -> int:
     return bits
 
 
-@dataclass(frozen=True)
-class SubsetMask:
+class SubsetMask(Frozen):
     """A subset of the ground set [m], held as a bitmask.
 
     Bit i corresponds to ground element i+1, so bits are 0-indexed while
     the displayed elements are 1-indexed.
     """
 
-    m: int
-    bits: int = 0
+    __slots__ = ("m", "bits")
 
-    def __post_init__(self) -> None:
+    def __init__(self, m: int, bits: int = 0) -> None:
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "bits", bits)
         if self.m < 0:
             raise ValueError("ground set size must be non-negative")
         if self.bits < 0 or self.bits >> self.m:
@@ -155,8 +195,7 @@ class SubsetMask:
         return mask_to_text(self.bits)
 
 
-@dataclass(frozen=True)
-class Embedding:
+class Embedding(Frozen):
     """Images of poset elements inside the Boolean lattice on [m].
 
     ``masks[j]`` is the bitmask of the image of element j.  The embedding
@@ -165,10 +204,11 @@ class Embedding:
     that together with injectivity.
     """
 
-    m: int
-    masks: tuple[int, ...]
+    __slots__ = ("m", "masks")
 
-    def __post_init__(self) -> None:
+    def __init__(self, m: int, masks: tuple[int, ...]) -> None:
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "masks", masks)
         for j, bits in enumerate(self.masks):
             if bits < 0 or bits >> self.m:
                 raise ValueError(f"image {j} does not fit ground set [{self.m}]")
@@ -181,20 +221,23 @@ class Embedding:
         return SubsetMask(self.m, self.masks[j])
 
 
-@dataclass(frozen=True)
-class EmbeddingCheck:
+class EmbeddingCheck(Frozen):
     """Verdict of an embedding check, with a witness pair on failure."""
 
-    ok: bool
-    witness: tuple[int, int] | None = None
-    reason: str | None = None
+    __slots__ = ("ok", "witness", "reason")
+
+    def __init__(
+        self, ok: bool, witness: tuple[int, int] | None = None, reason: str | None = None
+    ) -> None:
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "reason", reason)
 
     def __bool__(self) -> bool:
         return self.ok
 
 
-@dataclass(frozen=True)
-class Poset:
+class Poset(Frozen):
     """A strict partial order on n elements, stored transitively closed.
 
     ``succ[u]`` has bit v set iff u is strictly below v.  Construction
@@ -215,11 +258,11 @@ class Poset:
     the lexicographically first one.
     """
 
-    n: int
-    succ: tuple[int, ...]
+    __slots__ = ("n", "succ", "__dict__")  # __dict__ holds pred and covers
 
-    def __post_init__(self) -> None:
-        n, succ = self.n, self.succ
+    def __init__(self, n: int, succ: tuple[int, ...]) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "succ", succ)
         if n < 0:
             raise ValueError("element count must be non-negative")
         if len(succ) != n:
@@ -417,6 +460,8 @@ def random_poset(n: int, edge_prob: float, seed: int) -> Poset:
     forward arc independently with probability edge_prob, and closes the
     resulting DAG transitively.
     """
+    import random  # only sampling needs it; keeps it out of CLI start-up
+
     if not 0.0 <= edge_prob <= 1.0:
         raise ValueError("edge probability must lie in [0, 1]")
     rng = random.Random(seed)

@@ -20,7 +20,6 @@ injectivity.  Each construction's docstring lists its columns.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .antichain import embed_with_antichain, min_ell
 from .chainfamily import (
@@ -38,6 +37,7 @@ from .errors import FormatError, SizeMismatchError, VerificationError
 from .poset import (
     MAX_ELEMENTS,
     Embedding,
+    Frozen,
     Poset,
     SubsetMask,
     check_embedding,
@@ -54,8 +54,7 @@ _HEADER_RE = re.compile(r"^n=(\d+)\s+m=(\d+)$")
 _IMAGE_RE = re.compile(r"^(\d+):\s*(.+)$")
 
 
-@dataclass(frozen=True)
-class UniversalFamily:
+class UniversalFamily(Frozen):
     """A family of subsets of [n] containing every n-element poset.
 
     The family is a formula fixed by (n, a, ell, m); nothing is
@@ -65,10 +64,13 @@ class UniversalFamily:
     the family degrades to the whole of 2^[n], encoded by m = n.
     """
 
-    n: int
-    a: int
-    ell: int
-    m: int
+    __slots__ = ("n", "a", "ell", "m")
+
+    def __init__(self, n: int, a: int, ell: int, m: int) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "m", m)
 
 
 def build_universal(n: int, a: int | None = None) -> UniversalFamily:

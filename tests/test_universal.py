@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 from collections import Counter
 
 import pytest
@@ -66,7 +65,8 @@ class TestBuildUniversal:
         # the family holds only its parameters, so a cap too small to count
         # it still leaves membership and embedding working
         u = build_universal(9)
-        assert [f.name for f in dataclasses.fields(u)] == ["n", "a", "ell", "m"]
+        assert u.__slots__ == ("n", "a", "ell", "m")
+        assert repr(u) == f"UniversalFamily(n=9, a={u.a}, ell={u.ell}, m={u.m})"
         with pytest.raises(MemoryLimitError):
             chain_family(9, u.a, max_sets=3)
         assert membership(u, SubsetMask(9, (1 << 9) - 1))
