@@ -95,6 +95,35 @@ class TestAntichainSplitValidation:
             AntichainSplit((2,), (0, 1), (), 2, (0b001, 0b010))
 
 
+@pytest.mark.parametrize(
+    "poset, antichain, error",
+    [
+        (Poset.antichain(3), (0, 0), ValueError),
+        (Poset.antichain(3), (1, 1, 2), ValueError),
+        (Poset.antichain(3), (), ValueError),
+        (Poset.antichain(3), (1,), SizeError),
+        (Poset.antichain(3), (0, 7), ValueError),
+        (Poset.antichain(3), (-1, 0), ValueError),
+        (FAN, (0, 3), NotAnAntichainError),
+        (FAN, (1, 2, 3), NotAnAntichainError),
+    ],
+    ids=[
+        "duplicate",
+        "duplicate-of-three",
+        "empty",
+        "single",
+        "out-of-range",
+        "negative",
+        "comparable",
+        "comparable-among-three",
+    ],
+)
+def test_embed_rejects_bad_antichain(poset, antichain, error):
+    with pytest.raises(error) as info:
+        embed_with_antichain(poset, antichain)
+    assert type(info.value) is error
+
+
 class TestEmbedWithAntichain:
     def test_fan_example(self):
         emb = embed_with_antichain(FAN, (1, 2))
