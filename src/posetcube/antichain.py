@@ -7,7 +7,8 @@ lying below A, a label block of width ell whose half-size subsets tag the
 antichain elements, and positions for everything else.  Every position
 is held by an up-set of the poset (the rule of the universal module); the
 a antichain elements share the ell label positions, which is what buys
-the drop from n to n-a+ell ground elements.
+the drop from n to n-a+ell ground elements.  The blocks are element
+masks from classify, and the label block is listed straight from them.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 from itertools import islice
 
 from .errors import NotAnAntichainError, SizeError
-from .poset import Embedding, Frozen, Poset, bit_indices, transpose
+from .poset import Embedding, Poset, bit_indices, transpose
 
 
 def min_ell(a: int) -> int:
@@ -29,112 +30,45 @@ def min_ell(a: int) -> int:
     return ell
 
 
-def colex_half_subsets(lo: int, ell: int, count: int) -> tuple[int, ...]:
-    """First `count` masks of the (ell//2)-subsets of bits lo..lo+ell-1, colex order.
+def colex_half_subsets(ell: int, count: int) -> tuple[int, ...]:
+    """First `count` masks of the (ell//2)-subsets of bits 0..ell-1, colex order.
 
     Colex order on k-subsets is the numeric order of their masks, so these
-    are the least ints below 2^ell with ell//2 set bits, shifted up by lo.
+    are the least ints below 2^ell with ell//2 set bits.
     """
     half = ell // 2
     available = math.comb(ell, half)
     if count > available:
         raise ValueError(f"only {available} labels available, need {count}")
-    masks = (x << lo for x in range(1 << ell) if x.bit_count() == half)
+    masks = (x for x in range(1 << ell) if x.bit_count() == half)
     return tuple(islice(masks, count))
 
 
-class AntichainSplit(Frozen):
-    """The three-block layout induced by a chosen antichain.
+def classify(p: Poset, antichain: frozenset[int] | tuple[int, ...]) -> tuple[int, int, int]:
+    """Split the elements into (below, chosen, above) masks for embedding.
 
-    ``below`` holds the elements under some antichain element, ``above``
-    the rest, both ascending; ``antichain`` pairs with ``label_masks``
-    positionally.  ``b`` and ``ell`` fix the ground-set geometry: below
-    elements occupy positions 1..b, labels live in [b+1, b+ell], above
-    elements take [b+ell+1, ..] in listed order.
+    chosen holds the antichain, below every element under some antichain
+    element (the union of their pred masks), above everything else.  No
+    below element also sits over an antichain element, else two antichain
+    elements would be comparable through it.  Raises ValueError on an
+    element out of range or listed twice, NotAnAntichainError on a
+    comparable pair.
     """
-
-    __slots__ = ("below", "antichain", "above", "ell", "label_masks")
-
-    def __init__(
-        self,
-        below: tuple[int, ...],
-        antichain: tuple[int, ...],
-        above: tuple[int, ...],
-        ell: int,
-        label_masks: tuple[int, ...],
-    ) -> None:
-        object.__setattr__(self, "below", below)
-        object.__setattr__(self, "antichain", antichain)
-        object.__setattr__(self, "above", above)
-        object.__setattr__(self, "ell", ell)
-        object.__setattr__(self, "label_masks", label_masks)
-        parts = (*self.below, *self.antichain, *self.above)
-        if len(set(parts)) != len(parts):
-            raise ValueError("blocks overlap")
-        if len(self.label_masks) != len(self.antichain):
-            raise ValueError("one label per antichain element required")
-        window = ((1 << self.ell) - 1) << self.b
-        half = self.ell // 2
-        if len(set(self.label_masks)) != len(self.label_masks):
-            raise ValueError("label sets must be distinct")
-        for mask in self.label_masks:
-            if mask & ~window:
-                raise ValueError("label outside the label block")
-            if mask.bit_count() != half:
-                raise ValueError(f"label size {mask.bit_count()}, expected {half}")
-
-    @property
-    def b(self) -> int:
-        return len(self.below)
-
-    @property
-    def n(self) -> int:
-        return len(self.below) + len(self.antichain) + len(self.above)
-
-    @property
-    def ground_size(self) -> int:
-        return self.b + self.ell + len(self.above)
-
-
-def _antichain_mask(p: Poset, elements: tuple[int, ...]) -> int:
-    mask = 0
-    for y in elements:
+    chosen = 0
+    for y in antichain:
         if not 0 <= y < p.n:
             raise ValueError(f"element {y} outside poset range")
-        mask |= 1 << y
-    for y in elements:
-        if p.succ[y] & mask:
-            other = next(bit_indices(p.succ[y] & mask))
+        if chosen >> y & 1:
+            raise ValueError(f"element {y} listed twice")
+        chosen |= 1 << y
+    succ, pred = p.succ, p.pred
+    below = 0
+    for y in bit_indices(chosen):
+        if succ[y] & chosen:
+            other = next(bit_indices(succ[y] & chosen))
             raise NotAnAntichainError(f"elements {y} and {other} are comparable")
-    return mask
-
-
-def classify(p: Poset, antichain: frozenset[int] | tuple[int, ...]) -> AntichainSplit:
-    """Split the poset into below / antichain / above blocks for embedding.
-
-    Below holds every non-antichain element under some antichain element;
-    everything else lands above.  Labels are the colex-least half-size
-    subsets of the label window, assigned to antichain elements in
-    ascending order.
-    """
-    members = tuple(sorted(antichain))
-    a_mask = _antichain_mask(p, members)
-    below = []
-    above = []
-    for u in range(p.n):
-        if (a_mask >> u) & 1:
-            continue
-        if p.succ[u] & a_mask:
-            below.append(u)
-        else:
-            above.append(u)
-    # an element below A can never also sit above an antichain element,
-    # else the two antichain elements would be comparable through it
-    for x in below:
-        assert not p.pred[x] & a_mask, "below element above the antichain"
-    ell = min_ell(len(members))
-    labels = colex_half_subsets(len(below), ell, len(members))
-    return AntichainSplit(tuple(below), members, tuple(above), ell, labels)
+        below |= pred[y]
+    return below, chosen, ((1 << p.n) - 1) ^ below ^ chosen
 
 
 def embed_with_antichain(
@@ -145,28 +79,28 @@ def embed_with_antichain(
     The m up-set columns (the universal module states the rule) are, in
     ground order:
 
-    - below position i (element x_i): the elements at or over x_i,
-      succ[x_i] | 1 << x_i;
+    - below position i (element x_i, ascending): the elements at or over
+      x_i, succ[x_i] | 1 << x_i;
     - label position j: every above element and the antichain elements
-      whose label has it;
-    - above position t (element z_t): the antichain and above elements not
-      at or under z_t, the complement of pred[z_t] | 1 << z_t.
+      whose label has bit j, labels being the colex-least half-size
+      subsets of the window, given to the antichain in ascending order;
+    - above position t (element z_t, ascending): the antichain and above
+      elements not at or under z_t, the complement of pred[z_t] | 1 << z_t.
 
     Distinct labels of one size keep the antichain images pairwise
     incomparable.
     """
-    split = classify(p, antichain)
-    if len(split.antichain) < 2:
+    below, chosen, above = classify(p, antichain)
+    a = chosen.bit_count()
+    ell = min_ell(a)
+    if a < 2:
         raise SizeError("antichain embedding needs at least two elements")
-    full = (1 << p.n) - 1
-    above = sum(1 << z for z in split.above)
-    top = full ^ sum(1 << x for x in split.below)  # antichain and above
-    labels = [above] * split.ell
-    for y, label in zip(split.antichain, split.label_masks):
-        for j in bit_indices(label >> split.b):
+    labels = [above] * ell
+    for y, label in zip(bit_indices(chosen), colex_half_subsets(ell, a)):
+        for j in bit_indices(label):
             labels[j] |= 1 << y
     succ, pred = p.succ, p.pred
-    columns = [succ[x] | 1 << x for x in split.below]
+    columns = [succ[x] | 1 << x for x in bit_indices(below)]
     columns += labels
-    columns += [top & ~(pred[z] | 1 << z) for z in split.above]
-    return Embedding(split.ground_size, transpose(columns, p.n))
+    columns += [(chosen | above) & ~(pred[z] | 1 << z) for z in bit_indices(above)]
+    return Embedding(len(columns), transpose(columns, p.n))

@@ -22,7 +22,6 @@ from itertools import combinations, product
 from typing import Iterator
 
 from posetcube import LimitError, Poset, SizeError, SizeMismatchError
-from posetcube.antichain import classify
 from posetcube.chainfamily import chain_family
 from posetcube.poset import Embedding, EmbeddingCheck, bit_indices, transitive_closure
 
@@ -161,19 +160,29 @@ def witness_rejected(p: Poset, emb: Embedding, u: int, v: int) -> bool:
 def embed_with_antichain_reference(p: Poset, antichain) -> Embedding:
     """The label construction element by element and pair by pair.
 
-    A below element takes the below positions at or under it; an antichain
-    element adds its label and the above positions it is not under; an
-    above element adds the whole label window and the above positions not
-    at or over it.
+    The split is re-derived here: an element outside the antichain is
+    below when it sits under some antichain element, above otherwise, and
+    ell is found by counting up to the least width whose middle binomial
+    coefficient reaches the antichain size.  A below element takes the
+    below positions at or under it; an antichain element adds its label
+    and the above positions it is not under; an above element adds the
+    whole label window and the above positions not at or over it.
     """
-    split = classify(p, antichain)
-    if len(split.antichain) < 2:
+    members = sorted(antichain)
+    if len(members) < 2:
         raise SizeError("antichain embedding needs at least two elements")
-    b = split.b
-    window = ((1 << split.ell) - 1) << b
-    above_base = b + split.ell
+    outside = [u for u in range(p.n) if u not in members]
+    below = [u for u in outside if any(p.less(u, y) for y in members)]
+    above = [u for u in outside if u not in below]
+    ell = 0
+    while math.comb(ell, ell // 2) < len(members):
+        ell += 1
+    b = len(below)
+    label_masks = colex_half_subsets_reference(b, ell, len(members))
+    window = ((1 << ell) - 1) << b
+    above_base = b + ell
 
-    below_bit = {u: 1 << i for i, u in enumerate(split.below)}
+    below_bit = {u: 1 << i for i, u in enumerate(below)}
     succ = p.succ
     images = [0] * p.n
 
@@ -184,21 +193,21 @@ def embed_with_antichain_reference(p: Poset, antichain) -> Embedding:
                 bits |= bit
         return bits
 
-    for u in split.below:
+    for u in below:
         images[u] = below_part(u)
-    for y, label in zip(split.antichain, split.label_masks):
+    for y, label in zip(members, label_masks):
         bits = below_part(y) | label
-        for t, z in enumerate(split.above):
+        for t, z in enumerate(above):
             if not (succ[y] >> z) & 1:
                 bits |= 1 << (above_base + t)
         images[y] = bits
-    for j, z in enumerate(split.above):
+    for j, z in enumerate(above):
         bits = below_part(z) | window
-        for t, other in enumerate(split.above):
+        for t, other in enumerate(above):
             if t != j and not (succ[z] >> other) & 1:
                 bits |= 1 << (above_base + t)
         images[z] = bits
-    return Embedding(split.ground_size, tuple(images))
+    return Embedding(above_base + len(above), tuple(images))
 
 
 def embed_bounded_antichain_reference(p: Poset, dec) -> Embedding:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -15,9 +16,14 @@ from posetcube import (
     SubsetMask,
     check_embedding,
 )
-from posetcube.antichain import AntichainSplit, classify, embed_with_antichain, min_ell
+from posetcube.antichain import classify, embed_with_antichain, min_ell
 from posetcube.dilworth import max_antichain
-from helpers import check_embedding_naive, enumerate_posets, planted_poset
+from helpers import (
+    check_embedding_naive,
+    colex_half_subsets_reference,
+    enumerate_posets,
+    planted_poset,
+)
 
 # one element under two incomparable ones, a fourth above the first of them
 FAN = Poset.from_relations(4, [(0, 1), (0, 2), (1, 3)])
@@ -40,59 +46,85 @@ class TestMinEll:
 
 
 class TestClassify:
+    """classify's masks, and the labels the certificate gives the antichain."""
+
     def test_fan_example(self):
-        split = classify(FAN, (1, 2))
-        assert split.below == (0,)
-        assert split.b == 1
-        assert split.above == (3,)
-        assert split.ell == 2
-        assert split.antichain == (1, 2)
-        # label window is [2, 3]; colex order assigns {2} then {3}
-        assert split.label_masks == (0b010, 0b100)
+        assert classify(FAN, (1, 2)) == (0b0001, 0b0110, 0b1000)
+        assert classify(FAN, frozenset({3})) == (0b0011, 0b1000, 0b0100)
 
     def test_whole_antichain(self):
-        split = classify(Poset.antichain(4), range(4))
-        assert split.below == () and split.above == ()
-        assert split.ground_size == split.ell == 4
+        assert classify(Poset.antichain(4), range(4)) == (0, 0b1111, 0)
+        assert classify(Poset.antichain(4), ()) == (0, 0, 0b1111)
 
     def test_comparable_pair_rejected(self):
-        with pytest.raises(NotAnAntichainError):
-            classify(Poset.chain(3), (0, 2))
+        with pytest.raises(NotAnAntichainError, match="elements 0 and 2 are comparable"):
+            classify(Poset.chain(3), (2, 0))
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            classify(Poset.antichain(2), (0, 5))
+        for antichain in [(0, 5), (0, 2), (-1, 0)]:
+            with pytest.raises(ValueError, match="outside poset range"):
+                classify(Poset.antichain(2), antichain)
 
-    def test_label_invariants_on_random_inputs(self):
+    def test_duplicate_rejected(self):
+        for antichain in [(0, 0), (1, 0, 1), [2, 2]]:
+            with pytest.raises(ValueError, match="listed twice"):
+                classify(Poset.antichain(3), antichain)
+
+    def test_any_iterable_of_elements(self):
+        masks = classify(FAN, (1, 2))
+        for antichain in ([2, 1], frozenset({1, 2}), range(1, 3), iter((2, 1))):
+            assert classify(FAN, antichain) == masks
+
+    def test_every_antichain_of_small_posets(self):
+        for n in range(1, 5):
+            for p in enumerate_posets(n):
+                for size in range(n + 1):
+                    for antichain in combinations(range(n), size):
+                        if any(p.less(u, v) for u in antichain for v in antichain):
+                            continue
+                        below, chosen, above = classify(p, antichain)
+                        for u in range(n):
+                            under = any(p.less(u, y) for y in antichain)
+                            assert (below >> u & 1, chosen >> u & 1, above >> u & 1) == (
+                                under,
+                                u in antichain,
+                                not under and u not in antichain,
+                            )
+
+    def test_masks_on_random_inputs(self):
+        # below is exactly the union of pred over the antichain, and the
+        # three masks partition the elements
         for seed in range(80):
             p, antichain = planted_poset(18, seed)
-            split = classify(p, antichain)
-            half = split.ell // 2
-            window = ((1 << split.ell) - 1) << split.b
-            assert len(set(split.label_masks)) == len(split.antichain)
-            for mask in split.label_masks:
-                assert mask.bit_count() == half
-                assert mask & ~window == 0
-            assert split.n == p.n
-            assert split.ground_size == p.n - len(split.antichain) + split.ell
+            below, chosen, above = classify(p, antichain)
+            assert chosen == sum(1 << y for y in antichain)
+            assert below | chosen | above == (1 << p.n) - 1
+            assert below & chosen == below & above == chosen & above == 0
+            union = 0
+            for y in antichain:
+                union |= p.pred[y]
+            assert below == union
+            for u in range(p.n):
+                under = any(p.less(u, y) for y in antichain)
+                over = any(p.less(y, u) for y in antichain)
+                assert (below >> u & 1) == under and not (under and over)
 
-
-class TestAntichainSplitValidation:
-    def test_rejects_overlapping_blocks(self):
-        with pytest.raises(ValueError):
-            AntichainSplit((0,), (0, 1), (), 2, (0b0010, 0b0100))
-
-    def test_rejects_duplicate_labels(self):
-        with pytest.raises(ValueError):
-            AntichainSplit((), (0, 1), (), 2, (0b01, 0b01))
-
-    def test_rejects_wrong_label_size(self):
-        with pytest.raises(ValueError):
-            AntichainSplit((), (0, 1), (), 2, (0b01, 0b11))
-
-    def test_rejects_label_outside_window(self):
-        with pytest.raises(ValueError):
-            AntichainSplit((2,), (0, 1), (), 2, (0b001, 0b010))
+    def test_label_invariants_on_random_inputs(self):
+        # the certificate's label window [b, b + ell) holds, for each
+        # antichain element in ascending order, the next colex-least
+        # (ell//2)-subset of the window
+        for seed in range(80):
+            p, antichain = planted_poset(18, seed)
+            below, _, _ = classify(p, antichain)
+            a, b = len(antichain), below.bit_count()
+            ell = min_ell(a)
+            emb = embed_with_antichain(p, antichain)
+            assert emb.m == p.n - a + ell
+            window = ((1 << ell) - 1) << b
+            labels = tuple(emb.masks[y] & window for y in sorted(antichain))
+            assert len(set(labels)) == a
+            assert all(label.bit_count() == ell // 2 for label in labels)
+            assert labels == colex_half_subsets_reference(b, ell, a)
 
 
 @pytest.mark.parametrize(
@@ -166,36 +198,48 @@ class TestEmbedWithAntichain:
         assert check_embedding(p, emb)
 
 
+def elements(mask: int) -> list[int]:
+    return [u for u in range(mask.bit_length()) if mask >> u & 1]
+
+
 class TestStructuralProperties:
+    """The certificate block by block, on planted posets."""
+
     def plant(self, seed):
         p, antichain = planted_poset(16, seed)
-        return p, classify(p, antichain), embed_with_antichain(p, antichain)
+        below, chosen, above = classify(p, antichain)
+        emb = embed_with_antichain(p, antichain)
+        return p, (elements(below), elements(chosen), elements(above)), emb
 
     def test_below_positions_mirror_order(self):
         # position i belongs to an image exactly when the i-th below
         # element sits at or under the imaged element
         for seed in range(40):
-            p, split, emb = self.plant(seed)
-            for i, x in enumerate(split.below):
+            p, (below, _, _), emb = self.plant(seed)
+            for i, x in enumerate(below):
                 for v in range(p.n):
                     assert bool(emb.masks[v] >> i & 1) == p.leq(x, v)
 
     def test_antichain_images_incomparable(self):
         for seed in range(40):
-            _, split, emb = self.plant(seed)
-            members = split.antichain
+            _, (_, members, _), emb = self.plant(seed)
             for u in members:
                 for v in members:
                     if u != v:
                         assert emb.masks[u] & ~emb.masks[v]
 
     def test_label_window_separates_blocks(self):
+        # the above images hold the whole label window, the below images
+        # do not, and each antichain image meets it in its own
+        # (ell//2)-subset
         for seed in range(40):
-            _, split, emb = self.plant(seed)
-            window = ((1 << split.ell) - 1) << split.b
-            for z in split.above:
+            _, (below, members, above), emb = self.plant(seed)
+            ell = min_ell(len(members))
+            window = ((1 << ell) - 1) << len(below)
+            for z in above:
                 assert emb.masks[z] & window == window
-            for x in split.below:
+            for x in below:
                 assert emb.masks[x] & window != window
-            for y in split.antichain:
-                assert emb.masks[y] & window != window
+            labels = [emb.masks[y] & window for y in members]
+            assert len(set(labels)) == len(members)
+            assert all(label.bit_count() == ell // 2 for label in labels)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import re
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -38,6 +39,7 @@ from helpers import (
     covers_reference,
     embed_bounded_antichain_reference,
     embed_with_antichain_reference,
+    enumerate_posets,
     mask_to_text_reference,
     planted_poset,
     pred_reference,
@@ -131,6 +133,15 @@ class TestLabels:
         emb = embed_with_antichain(p, antichain)
         assert emb == embed_with_antichain_reference(p, antichain)
 
+    def test_every_antichain_of_small_posets(self):
+        for n in range(2, 6):
+            for p in enumerate_posets(n):
+                for size in range(2, n + 1):
+                    for antichain in combinations(range(n), size):
+                        if not any(p.less(u, v) for u in antichain for v in antichain):
+                            emb = embed_with_antichain(p, antichain)
+                            assert emb == embed_with_antichain_reference(p, antichain)
+
     @settings(max_examples=100, deadline=None)
     @given(st.integers(6, 70), st.integers(0, 2**32))
     def test_planted_equals_reference(self, n, seed):
@@ -176,12 +187,17 @@ class TestColexLabels:
     @pytest.mark.parametrize("lo", [0, 5])
     @pytest.mark.parametrize("ell", range(18))
     def test_equals_reference(self, ell, lo):
+        # the kernel's labels are relative to the label window; shifted to
+        # a window at any offset lo they are that window's colex-first
+        # subsets, which the reference builds in place
         total = math.comb(ell, ell // 2)
         for count in {0, 1, total // 2, total}:
-            assert colex_half_subsets(lo, ell, count) == colex_half_subsets_reference(lo, ell, count)
-        for labels in (colex_half_subsets, colex_half_subsets_reference):
-            with pytest.raises(ValueError, match=f"only {total} labels available"):
-                labels(lo, ell, total + 1)
+            shifted = tuple(label << lo for label in colex_half_subsets(ell, count))
+            assert shifted == colex_half_subsets_reference(lo, ell, count)
+        with pytest.raises(ValueError, match=f"only {total} labels available"):
+            colex_half_subsets(ell, total + 1)
+        with pytest.raises(ValueError, match=f"only {total} labels available"):
+            colex_half_subsets_reference(lo, ell, total + 1)
 
 
 class TestMaskText:

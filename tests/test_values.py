@@ -1,4 +1,4 @@
-"""Value semantics of the package's nine immutable classes.
+"""Value semantics of the package's eight immutable classes.
 
 Each class is pinned on what callers can see: equality (same class only),
 hashing that agrees with it, fields that cannot be assigned or deleted,
@@ -13,10 +13,9 @@ import pickle
 
 import pytest
 
-from posetcube.antichain import AntichainSplit
 from posetcube.chainfamily import PartitionSeq, SetFamily
 from posetcube.dilworth import ChainDecomposition
-from posetcube.poset import Embedding, EmbeddingCheck, Poset, SubsetMask
+from posetcube.poset import Embedding, EmbeddingCheck, Frozen, Poset, SubsetMask
 from posetcube.universal import UniversalFamily
 
 CHAIN2 = Poset(2, (2, 0))
@@ -38,12 +37,6 @@ CASES = [
         (Poset(2, (0, 0)), ((0,), (1,))),
         "ChainDecomposition(poset=Poset(n=2, succ=(2, 0)), chains=((0, 1),))",
     ),
-    (
-        AntichainSplit,
-        ((0,), (1, 2), (3,), 2, (2, 4)),
-        ((0,), (1, 2), (3,), 2, (4, 2)),
-        "AntichainSplit(below=(0,), antichain=(1, 2), above=(3,), ell=2, label_masks=(2, 4))",
-    ),
     (PartitionSeq, ((2, 1),), ((1, 1, 1),), "PartitionSeq(parts=(2, 1))"),
     (SetFamily, (2, (0, 1, 3)), (2, (0, 3)), "SetFamily(m=2, masks=(0, 1, 3))"),
     (UniversalFamily, (9, 3, 3, 9), (9, 4, 3, 8), "UniversalFamily(n=9, a=3, ell=3, m=9)"),
@@ -57,7 +50,6 @@ FIELDS = {
     Embedding: ("m", "masks"),
     EmbeddingCheck: ("ok", "witness", "reason"),
     ChainDecomposition: ("poset", "chains"),
-    AntichainSplit: ("below", "antichain", "above", "ell", "label_masks"),
     PartitionSeq: ("parts",),
     SetFamily: ("m", "masks"),
     UniversalFamily: ("n", "a", "ell", "m"),
@@ -81,6 +73,10 @@ def test_equality_is_by_value_and_class(cls, args, other, text):
     twin = Twin(*args)
     assert x != twin and twin != x
     assert x != args
+
+
+def test_every_value_class_is_pinned():
+    assert set(Frozen.__subclasses__()) == set(FIELDS)
 
 
 def test_classes_with_the_same_field_names_differ():
@@ -159,11 +155,6 @@ INVALID = [
     (ChainDecomposition, (CHAIN2, ((0, 1), (1,))), "element 1 appears in two chains"),
     (ChainDecomposition, (CHAIN2, ((1, 0),)), "chain pair (1, 0) not ordered"),
     (ChainDecomposition, (CHAIN2, ((0,),)), "chains do not cover every element"),
-    (AntichainSplit, ((0,), (0, 1), (), 2, (2, 4)), "blocks overlap"),
-    (AntichainSplit, ((0,), (1, 2), (), 2, (2,)), "one label per antichain element required"),
-    (AntichainSplit, ((0,), (1, 2), (), 2, (2, 2)), "label sets must be distinct"),
-    (AntichainSplit, ((0,), (1, 2), (), 2, (2, 8)), "label outside the label block"),
-    (AntichainSplit, ((0,), (1, 2), (), 2, (2, 6)), "label size 2, expected 1"),
     (PartitionSeq, ((1, 2),), "parts not weakly decreasing: (1, 2)"),
     (PartitionSeq, ((2, 0),), "parts must be positive"),
     (SetFamily, (2, (1, 1)), "masks must be strictly increasing"),
