@@ -23,7 +23,7 @@ from typing import Iterator
 
 from posetcube import LimitError, Poset, SizeError, SizeMismatchError
 from posetcube.chainfamily import chain_family
-from posetcube.poset import Embedding, EmbeddingCheck, bit_indices, transitive_closure
+from posetcube.poset import Embedding, EmbeddingCheck, Frozen, bit_indices, transitive_closure
 
 BRUTE_FORCE_CAP = 20
 
@@ -157,32 +157,91 @@ def witness_rejected(p: Poset, emb: Embedding, u: int, v: int) -> bool:
     return (image_u <= image_v) != p.leq(u, v)
 
 
-def embed_with_antichain_reference(p: Poset, antichain) -> Embedding:
-    """The label construction element by element and pair by pair.
+class AntichainSplit(Frozen):
+    """The three-block layout of the label construction, checked on build.
 
-    The split is re-derived here: an element outside the antichain is
-    below when it sits under some antichain element, above otherwise, and
-    ell is found by counting up to the least width whose middle binomial
-    coefficient reaches the antichain size.  A below element takes the
-    below positions at or under it; an antichain element adds its label
-    and the above positions it is not under; an above element adds the
-    whole label window and the above positions not at or over it.
+    ``below`` holds the elements under some antichain element, ``above``
+    the rest, both ascending; ``antichain`` pairs with ``label_masks``
+    positionally.  ``b`` and ``ell`` fix the ground-set geometry: below
+    elements take positions 0..b-1, the labels live in the window
+    [b, b+ell), above elements take the positions after it in listed
+    order.  The library keeps no such object (it works on element masks);
+    the reference builds one so that every run of it also checks that the
+    blocks are disjoint and the labels are distinct (ell//2)-subsets of
+    the window.
     """
-    members = sorted(antichain)
-    if len(members) < 2:
-        raise SizeError("antichain embedding needs at least two elements")
+
+    __slots__ = ("below", "antichain", "above", "ell", "label_masks")
+
+    def __init__(self, below, antichain, above, ell, label_masks) -> None:
+        object.__setattr__(self, "below", below)
+        object.__setattr__(self, "antichain", antichain)
+        object.__setattr__(self, "above", above)
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "label_masks", label_masks)
+        parts = (*below, *antichain, *above)
+        if len(set(parts)) != len(parts):
+            raise ValueError("blocks overlap")
+        if len(label_masks) != len(antichain):
+            raise ValueError("one label per antichain element required")
+        if len(set(label_masks)) != len(label_masks):
+            raise ValueError("label sets must be distinct")
+        window = ((1 << ell) - 1) << self.b
+        for mask in label_masks:
+            if mask & ~window:
+                raise ValueError("label outside the label block")
+            if mask.bit_count() != ell // 2:
+                raise ValueError(f"label size {mask.bit_count()}, expected {ell // 2}")
+
+    @property
+    def b(self) -> int:
+        return len(self.below)
+
+    @property
+    def n(self) -> int:
+        return len(self.below) + len(self.antichain) + len(self.above)
+
+    @property
+    def ground_size(self) -> int:
+        return self.b + self.ell + len(self.above)
+
+
+def split_reference(p: Poset, antichain) -> AntichainSplit:
+    """The label construction's split, derived element by element.
+
+    An element outside the antichain is below when it sits under some
+    antichain element, above otherwise; ell is found by counting up to
+    the least width whose middle binomial coefficient reaches the
+    antichain size, and the labels are the window's colex-first subsets.
+    """
+    members = tuple(sorted(antichain))
     outside = [u for u in range(p.n) if u not in members]
-    below = [u for u in outside if any(p.less(u, y) for y in members)]
-    above = [u for u in outside if u not in below]
+    below = tuple(u for u in outside if any(p.less(u, y) for y in members))
+    above = tuple(u for u in outside if u not in below)
     ell = 0
     while math.comb(ell, ell // 2) < len(members):
         ell += 1
-    b = len(below)
-    label_masks = colex_half_subsets_reference(b, ell, len(members))
-    window = ((1 << ell) - 1) << b
-    above_base = b + ell
+    labels = colex_half_subsets_reference(len(below), ell, len(members))
+    return AntichainSplit(below, members, above, ell, labels)
 
-    below_bit = {u: 1 << i for i, u in enumerate(below)}
+
+def embed_with_antichain_reference(p: Poset, antichain) -> Embedding:
+    """The label construction element by element and pair by pair.
+
+    The split comes from split_reference, not from the library.  A below
+    element takes the below positions at or under it; an antichain
+    element adds its label and the above positions it is not under; an
+    above element adds the whole label window and the above positions not
+    at or over it.
+    """
+    split = split_reference(p, antichain)
+    if len(split.antichain) < 2:
+        raise SizeError("antichain embedding needs at least two elements")
+    b = split.b
+    window = ((1 << split.ell) - 1) << b
+    above_base = b + split.ell
+
+    below_bit = {u: 1 << i for i, u in enumerate(split.below)}
     succ = p.succ
     images = [0] * p.n
 
@@ -193,21 +252,21 @@ def embed_with_antichain_reference(p: Poset, antichain) -> Embedding:
                 bits |= bit
         return bits
 
-    for u in below:
+    for u in split.below:
         images[u] = below_part(u)
-    for y, label in zip(members, label_masks):
+    for y, label in zip(split.antichain, split.label_masks):
         bits = below_part(y) | label
-        for t, z in enumerate(above):
+        for t, z in enumerate(split.above):
             if not (succ[y] >> z) & 1:
                 bits |= 1 << (above_base + t)
         images[y] = bits
-    for j, z in enumerate(above):
+    for j, z in enumerate(split.above):
         bits = below_part(z) | window
-        for t, other in enumerate(above):
+        for t, other in enumerate(split.above):
             if t != j and not (succ[z] >> other) & 1:
                 bits |= 1 << (above_base + t)
         images[z] = bits
-    return Embedding(above_base + len(above), tuple(images))
+    return Embedding(split.ground_size, tuple(images))
 
 
 def embed_bounded_antichain_reference(p: Poset, dec) -> Embedding:

@@ -19,6 +19,7 @@ from posetcube import (
 from posetcube.antichain import classify, embed_with_antichain, min_ell
 from posetcube.dilworth import max_antichain
 from helpers import (
+    AntichainSplit,
     check_embedding_naive,
     colex_half_subsets_reference,
     enumerate_posets,
@@ -125,6 +126,26 @@ class TestClassify:
             assert len(set(labels)) == a
             assert all(label.bit_count() == ell // 2 for label in labels)
             assert labels == colex_half_subsets_reference(b, ell, a)
+
+
+class TestAntichainSplitValidation:
+    """The reference split refuses a layout the label construction must not make."""
+
+    def test_rejects_overlapping_blocks(self):
+        with pytest.raises(ValueError, match="blocks overlap"):
+            AntichainSplit((0,), (0, 1), (), 2, (0b0010, 0b0100))
+
+    def test_rejects_duplicate_labels(self):
+        with pytest.raises(ValueError, match="label sets must be distinct"):
+            AntichainSplit((), (0, 1), (), 2, (0b01, 0b01))
+
+    def test_rejects_wrong_label_size(self):
+        with pytest.raises(ValueError, match="label size 2, expected 1"):
+            AntichainSplit((), (0, 1), (), 2, (0b01, 0b11))
+
+    def test_rejects_label_outside_window(self):
+        with pytest.raises(ValueError, match="label outside the label block"):
+            AntichainSplit((2,), (0, 1), (), 2, (0b001, 0b010))
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,9 @@
 """Value semantics of the package's eight immutable classes.
 
+AntichainSplit, the validated three-block layout that the label oracle in
+tests/helpers.py builds, derives from the same base and is pinned with
+them.
+
 Each class is pinned on what callers can see: equality (same class only),
 hashing that agrees with it, fields that cannot be assigned or deleted,
 the exact repr, pickle and copy round trips, and every ValueError its
@@ -17,6 +21,7 @@ from posetcube.chainfamily import PartitionSeq, SetFamily
 from posetcube.dilworth import ChainDecomposition
 from posetcube.poset import Embedding, EmbeddingCheck, Frozen, Poset, SubsetMask
 from posetcube.universal import UniversalFamily
+from helpers import AntichainSplit
 
 CHAIN2 = Poset(2, (2, 0))
 
@@ -37,6 +42,12 @@ CASES = [
         (Poset(2, (0, 0)), ((0,), (1,))),
         "ChainDecomposition(poset=Poset(n=2, succ=(2, 0)), chains=((0, 1),))",
     ),
+    (
+        AntichainSplit,
+        ((0,), (1, 2), (3,), 2, (2, 4)),
+        ((0,), (1, 2), (3,), 2, (4, 2)),
+        "AntichainSplit(below=(0,), antichain=(1, 2), above=(3,), ell=2, label_masks=(2, 4))",
+    ),
     (PartitionSeq, ((2, 1),), ((1, 1, 1),), "PartitionSeq(parts=(2, 1))"),
     (SetFamily, (2, (0, 1, 3)), (2, (0, 3)), "SetFamily(m=2, masks=(0, 1, 3))"),
     (UniversalFamily, (9, 3, 3, 9), (9, 4, 3, 8), "UniversalFamily(n=9, a=3, ell=3, m=9)"),
@@ -50,6 +61,7 @@ FIELDS = {
     Embedding: ("m", "masks"),
     EmbeddingCheck: ("ok", "witness", "reason"),
     ChainDecomposition: ("poset", "chains"),
+    AntichainSplit: ("below", "antichain", "above", "ell", "label_masks"),
     PartitionSeq: ("parts",),
     SetFamily: ("m", "masks"),
     UniversalFamily: ("n", "a", "ell", "m"),
@@ -155,6 +167,11 @@ INVALID = [
     (ChainDecomposition, (CHAIN2, ((0, 1), (1,))), "element 1 appears in two chains"),
     (ChainDecomposition, (CHAIN2, ((1, 0),)), "chain pair (1, 0) not ordered"),
     (ChainDecomposition, (CHAIN2, ((0,),)), "chains do not cover every element"),
+    (AntichainSplit, ((0,), (0, 1), (), 2, (2, 4)), "blocks overlap"),
+    (AntichainSplit, ((0,), (1, 2), (), 2, (2,)), "one label per antichain element required"),
+    (AntichainSplit, ((0,), (1, 2), (), 2, (2, 2)), "label sets must be distinct"),
+    (AntichainSplit, ((0,), (1, 2), (), 2, (2, 8)), "label outside the label block"),
+    (AntichainSplit, ((0,), (1, 2), (), 2, (2, 6)), "label size 2, expected 1"),
     (PartitionSeq, ((1, 2),), "parts not weakly decreasing: (1, 2)"),
     (PartitionSeq, ((2, 0),), "parts must be positive"),
     (SetFamily, (2, (1, 1)), "masks must be strictly increasing"),
