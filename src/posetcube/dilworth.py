@@ -15,10 +15,12 @@ an iterative DFS, so path length is bounded by memory, not by the
 interpreter's recursion limit.  It takes the candidates of u, lowest
 first, from succ[u] restricted to free right vertices and to those
 whose mate lies one layer deeper, and re-checks that layer when a
-candidate is taken, because dead ends leave the layer masks stale.  The
-first phase, where every left vertex is free, is the greedy seed.  The
-mate arrays, and so the chains, are the same as a recursive DFS over
-succ[u] in ascending order gives.
+candidate is taken, because dead ends leave the layer masks stale.  In
+the first phase no right vertex is matched, so every augmenting path is
+one edge; it runs as a plain greedy loop, each u in ascending order
+taking its lowest free successor, as the search would.  The mate
+arrays, and so the chains, are the same as a recursive DFS over succ[u]
+in ascending order gives.
 """
 
 from __future__ import annotations
@@ -109,6 +111,14 @@ def _hopcroft_karp(n: int, succ: tuple[int, ...]) -> tuple[list[int], list[int]]
     mate_right = [NO_MATE] * n
     inf = n + 1
     free_right = (1 << n) - 1
+    for u in range(n):
+        candidates = succ[u] & free_right
+        if candidates:
+            lsb = candidates & -candidates
+            v = lsb.bit_length() - 1
+            mate_left[u] = v
+            mate_right[v] = u
+            free_right ^= lsb
     while True:
         # BFS: dist of every left vertex reachable from a free one, and
         # layer[d], the right vertices whose mate sits at distance d

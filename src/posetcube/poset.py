@@ -420,9 +420,11 @@ def check_embedding(p: Poset, emb: Embedding) -> EmbeddingCheck:
     for every byte value s the AND of the columns of the positions in s,
     and each element u folds table[byte of image(u)] into its accumulator.
     After the last block, bit v of u's accumulator is set iff image(u)
-    lies within image(v), and it must equal succ[u] | 1 << u.  For m
-    ground positions that is about n*m/8 + 32*m big-int operations on
-    n-bit ints, instead of n*n Python steps.
+    lies within image(v), and it must equal succ[u] | 1 << u.  The walk
+    stops at w, the top bit of the images: a block above it holds only
+    zero bytes, and table[0] is the full mask, so it changes no row.  That
+    is about n*w/8 + 32*w big-int operations on n-bit ints, instead of n*n
+    Python steps; w is about 2n/3 on the label branch.
 
     Injectivity follows from antisymmetry: equal images are contained
     both ways, which the order allows for no two distinct elements.
@@ -438,7 +440,7 @@ def check_embedding(p: Poset, emb: Embedding) -> EmbeddingCheck:
         seen[bits] = j
     full = (1 << p.n) - 1
     inside = [full] * p.n  # bit v of inside[u]: image(u) within image(v)
-    for block in _byte_columns(emb.masks, emb.m):
+    for block in _byte_columns(emb.masks, max(emb.masks, default=0).bit_length()):
         table = [full]
         for k in range(8):
             column = _bit_column(block, k)

@@ -105,6 +105,11 @@ class TestMatchingMaximality:
     @example(7, 1.0, 3)
     @example(70, 0.0, 5)
     @example(70, 0.05, 11)
+    # the sizes of the benchmark's embed-dense and embed-sparse posets
+    @example(200, 0.3, 1)
+    @example(200, 0.3, 2)
+    @example(600, 0.005, 1)
+    @example(600, 0.005, 2)
     def test_same_mates_as_the_reference(self, n, prob, seed):
         p = random_poset(n, prob, seed)
         mates = _hopcroft_karp(p.n, p.succ)

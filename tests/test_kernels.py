@@ -121,6 +121,27 @@ class TestVerifier:
                 rejected += not check_embedding(p, flipped).ok
         assert rejected  # a certificate that survives every flip checks nothing
 
+    @pytest.mark.parametrize("n, seed", [(13, 2), (17, 3), (24, 4), (30, 5), (40, 6)])
+    def test_every_one_bit_flip_on_the_padded_ground_set(self, n, seed):
+        # embed_with_branch's label shape: images inside [m], ground set [n]
+        p, antichain = planted_poset(n, seed)
+        inner = embed_with_antichain(p, antichain)
+        emb = Embedding(n, inner.masks)
+        top = max(emb.masks).bit_length()
+        assert top <= inner.m < n
+        assert_same_verdict(p, emb)
+        rejected_above_top = 0
+        for j in range(n):
+            for bit in range(n):
+                masks = list(emb.masks)
+                masks[j] ^= 1 << bit
+                flipped = Embedding(n, tuple(masks))
+                assert_same_verdict(p, flipped)
+                if bit >= top:
+                    rejected_above_top += not check_embedding(p, flipped).ok
+        # a walk that stopped below a flipped bit would accept these
+        assert rejected_above_top
+
 
 class TestLabels:
     @settings(max_examples=200, deadline=None)

@@ -16,6 +16,7 @@ from posetcube import (
     Poset,
     SizeMismatchError,
     SubsetMask,
+    VerificationError,
     build_universal,
     cardinality,
     check_embedding,
@@ -28,9 +29,16 @@ from posetcube import (
     write_embedding,
 )
 from posetcube.antichain import min_ell
-from posetcube.chainfamily import chain_family, partition_count, partitions
+from posetcube.chainfamily import chain_family, is_cell_prefix_union, partition_count, partitions
+from posetcube.dilworth import min_chain_decomposition
 from posetcube.poset import Embedding, folklore_embed
-from posetcube.universal import BRANCH_ANTICHAIN, BRANCH_CHAIN, BRANCH_FOLKLORE
+from posetcube.universal import (
+    BRANCH_ANTICHAIN,
+    BRANCH_CHAIN,
+    BRANCH_FOLKLORE,
+    _chain_escape,
+    _verify,
+)
 from helpers import cardinality_materialized, enumerate_posets, fence_poset, naive_chain_family
 
 
@@ -201,6 +209,72 @@ class TestEmbed:
         assert emb.m == n
         for bits in emb.masks:
             assert membership(u, SubsetMask(n, bits))
+
+
+def swap_positions(emb: Embedding, i: int, k: int) -> Embedding:
+    """emb with ground positions i and k exchanged in every image.
+
+    Renaming ground positions keeps every containment, so the result is
+    exactly as order-faithful as emb.
+    """
+    swapped = []
+    for bits in emb.masks:
+        if (bits >> i ^ bits >> k) & 1:
+            bits ^= 1 << i | 1 << k
+        swapped.append(bits)
+    return Embedding(emb.m, tuple(swapped))
+
+
+class TestVerifyWitnesses:
+    """_verify's membership witnesses reject order-faithful non-members."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_swap_inside_a_chain_cell_escapes(self, seed):
+        p = random_poset(30, 0.3, seed)
+        u = build_universal(p.n)
+        emb, branch = embed_with_branch(u, p)
+        assert branch == BRANCH_CHAIN
+        dec = min_chain_decomposition(p)
+        lo = 0
+        for length in dec.lengths:
+            if length >= 2:
+                swapped = swap_positions(emb, lo, lo + 1)
+                assert check_embedding(p, swapped).ok
+                # images holding lo but not lo + 1 now start their cell late
+                j = next(j for j, bits in enumerate(emb.masks) if (bits >> lo) & 3 == 1)
+                with pytest.raises(VerificationError) as info:
+                    _verify(u, p, swapped, BRANCH_CHAIN, dec)
+                assert str(info.value) == f"image of element {j} escapes the chain family"
+            lo += length
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_moving_a_position_above_m_escapes(self, seed):
+        p = random_poset(60, 3 / 60, seed)
+        u = build_universal(p.n)
+        emb, branch = embed_with_branch(u, p)
+        assert branch == BRANCH_ANTICHAIN and u.m < p.n
+        used = 0
+        for bits in emb.masks:
+            used |= bits
+        for i in (0, u.m // 2, u.m - 1):
+            assert (used >> i) & 1
+            for k in (u.m, p.n - 1):
+                swapped = swap_positions(emb, i, k)
+                assert check_embedding(p, swapped).ok
+                j = next(j for j, bits in enumerate(emb.masks) if (bits >> i) & 1)
+                with pytest.raises(VerificationError) as info:
+                    _verify(u, p, swapped, BRANCH_ANTICHAIN, None)
+                assert str(info.value) == f"image of element {j} escapes the lattice part"
+
+    def test_chain_escape_equals_is_cell_prefix_union(self):
+        for n in range(11):
+            masks = tuple(range(1 << n))
+            for c in partitions(n, n):
+                members = [is_cell_prefix_union(bits, c) for bits in masks]
+                for bits, member in zip(masks, members):
+                    assert (_chain_escape((bits,), c) is None) == member
+                first = members.index(False) if False in members else None
+                assert _chain_escape(masks, c) == first
 
 
 class TestVerifyUniversality:
