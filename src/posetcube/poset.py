@@ -22,13 +22,11 @@ from .errors import CycleError, FormatError, SizeMismatchError
 # reject bigger ones before allocating anything of that size.
 MAX_ELEMENTS = 1 << 16
 
-# Poset.pred transposes succ above n*n/_PRED_DENSITY comparable pairs.
-_PRED_DENSITY = 64
-
 _PAIR_RE = re.compile(r"^(\d+)\s*<\s*(\d+)$")
 
-# _BIT_DIGITS[k] maps a byte to b"1" or b"0", its bit k as an ASCII digit
-_BIT_DIGITS = tuple((b"0" * (1 << k) + b"1" * (1 << k)) * (128 >> k) for k in range(8))
+# The three delta swaps that transpose an 8x8 bit tile held in a 64-bit
+# word, byte r being row r (Hacker's Delight, section 7-3): shift and mask.
+_TILE_SWAPS = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
 _DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
 # "1", "2", ...: the text of each ground position, grown to the widest mask
@@ -115,23 +113,50 @@ def _byte_columns(rows: Sequence[int], width: int) -> list[bytes]:
     return [data[b::size] for b in range(size)]
 
 
-def _bit_column(block: bytes, k: int) -> int:
-    """The rows whose byte in block has bit k set, as a bitmask over rows."""
-    return int(block.translate(_BIT_DIGITS[k])[::-1] or b"0", 2)
+def _tile_swaps(count: int) -> tuple[tuple[int, int], ...]:
+    """_TILE_SWAPS with each mask repeated once per 64-bit word of count bytes."""
+    words = (count + 7) // 8
+    return tuple(
+        (shift, int.from_bytes(mask.to_bytes(8, "little") * words, "little"))
+        for shift, mask in _TILE_SWAPS
+    )
+
+
+def _block_columns(block: bytes, swaps: tuple[tuple[int, int], ...]) -> list[int]:
+    """The eight bit columns of a byte block: bit i of column k is bit k of block[i].
+
+    The block is read as one int whose 64-bit words are 8x8 tiles, row i
+    in byte i.  Three delta swaps transpose every tile at once, so byte k
+    of each word then holds bit k of that word's eight rows, and column k
+    is every eighth byte.  swaps comes from _tile_swaps(len(block)).
+    """
+    x = int.from_bytes(block, "little")
+    for shift, mask in swaps:
+        t = (x ^ x >> shift) & mask
+        x ^= t ^ t << shift
+    data = x.to_bytes((len(block) + 7) // 8 * 8, "little")
+    return [int.from_bytes(data[k::8], "little") for k in range(8)]
 
 
 def transpose(rows: Sequence[int], width: int) -> tuple[int, ...]:
     """The transposed bit matrix: bit i of result[j] is bit j of rows[i].
 
-    rows must fit in width bits.  Each of the width results is one strided
-    byte slice, translated to digits and read as an int, all in C.
+    rows must fit in width bits.  Each byte block of the rows gives eight
+    results at once through _block_columns, about 20 big-int operations.
     """
-    blocks = _byte_columns(rows, width)
-    return tuple(_bit_column(blocks[j >> 3], j & 7) for j in range(width))
+    swaps = _tile_swaps(len(rows))
+    columns: list[int] = []
+    for block in _byte_columns(rows, width):
+        columns += _block_columns(block, swaps)
+    return tuple(columns[:width])
 
 
 def mask_from_text(text: str, m: int) -> int:
-    """Parse the output of :func:`mask_to_text` back into a bitmask."""
+    """Parse the output of :func:`mask_to_text` back into a bitmask.
+
+    Only that output is accepted: ascending decimal elements without
+    repeats, signs, leading zeros, underscores or inner spaces.
+    """
     text = text.strip()
     if text == "-":
         return 0
@@ -144,6 +169,9 @@ def mask_from_text(text: str, m: int) -> int:
         if not 1 <= element <= m:
             raise FormatError(f"ground element {element} outside [{m}]")
         bits |= 1 << (element - 1)
+    canonical = mask_to_text(bits)
+    if canonical != text:
+        raise FormatError(f"ground set {text!r} is not written as {canonical!r}")
     return bits
 
 
@@ -306,24 +334,8 @@ class Poset(Frozen):
 
     @cached_property
     def pred(self) -> tuple[int, ...]:
-        """Predecessor masks: bit u of pred[v] set iff u is strictly below v.
-
-        Above n*n/_PRED_DENSITY comparable pairs this is transpose(succ),
-        about n*n byte steps in C; below, a Python loop sets one bit per
-        pair, at the cost of one n-bit int each.  On random posets the two
-        break even at about n*n/33 pairs for n = 200, n*n/70 for 600,
-        n*n/100 for 2000 and n*n/140 for 5000 (CPython 3.11), so the fixed
-        rule costs at most about twice the faster method there.
-        """
-        n, succ = self.n, self.succ
-        if sum(row.bit_count() for row in succ) * _PRED_DENSITY > n * n:
-            return transpose(succ, n)
-        pred = [0] * n
-        for u, row in enumerate(succ):
-            bit = 1 << u
-            for v in bit_indices(row):
-                pred[v] |= bit
-        return tuple(pred)
+        """Predecessor masks: bit u of pred[v] set iff u is strictly below v."""
+        return transpose(self.succ, self.n)
 
     @cached_property
     def covers(self) -> tuple[int, ...]:
@@ -416,15 +428,16 @@ def check_embedding(p: Poset, emb: Embedding) -> EmbeddingCheck:
     both ways.  It is computed whole, one byte block of the ground set at
     a time (the Four Russians method).  The images are transposed into the
     block's eight ground-set columns, each the set of elements whose image
-    holds that position.  A 256-entry table, built incrementally, gives
-    for every byte value s the AND of the columns of the positions in s,
-    and each element u folds table[byte of image(u)] into its accumulator.
-    After the last block, bit v of u's accumulator is set iff image(u)
-    lies within image(v), and it must equal succ[u] | 1 << u.  The walk
-    stops at w, the top bit of the images: a block above it holds only
-    zero bytes, and table[0] is the full mask, so it changes no row.  That
-    is about n*w/8 + 32*w big-int operations on n-bit ints, instead of n*n
-    Python steps; w is about 2n/3 on the label branch.
+    holds that position, by one tile transpose (_block_columns, about 20
+    big-int operations per block).  A 256-entry table, built incrementally,
+    gives for every byte value s the AND of the columns of the positions
+    in s, and each element u folds table[byte of image(u)] into its
+    accumulator.  After the last block, bit v of u's accumulator is set iff
+    image(u) lies within image(v), and it must equal succ[u] | 1 << u.  The
+    walk stops at w, the top bit of the images: a block above it holds
+    only zero bytes, and table[0] is the full mask, so it changes no row.
+    That is about n*w/8 + 32*w big-int operations on n-bit ints, instead
+    of n*n Python steps; w is about 2n/3 on the label branch.
 
     Injectivity follows from antisymmetry: equal images are contained
     both ways, which the order allows for no two distinct elements.
@@ -440,10 +453,10 @@ def check_embedding(p: Poset, emb: Embedding) -> EmbeddingCheck:
         seen[bits] = j
     full = (1 << p.n) - 1
     inside = [full] * p.n  # bit v of inside[u]: image(u) within image(v)
+    swaps = _tile_swaps(p.n)
     for block in _byte_columns(emb.masks, max(emb.masks, default=0).bit_length()):
         table = [full]
-        for k in range(8):
-            column = _bit_column(block, k)
+        for column in _block_columns(block, swaps):
             table += [t & column for t in table]
         inside = [row & table[x] for row, x in zip(inside, block)]
     for u, row in enumerate(inside):

@@ -332,6 +332,27 @@ def pred_reference(p: Poset) -> tuple[int, ...]:
     return tuple(pred)
 
 
+# _BIT_DIGITS[k] maps a byte to b"1" or b"0", its bit k as an ASCII digit
+_BIT_DIGITS = tuple((b"0" * (1 << k) + b"1" * (1 << k)) * (128 >> k) for k in range(8))
+
+
+def _bit_column(block: bytes, k: int) -> int:
+    """The rows whose byte in block has bit k set, as a bitmask over rows."""
+    return int(block.translate(_BIT_DIGITS[k])[::-1] or b"0", 2)
+
+
+def transpose_reference(rows, width: int) -> tuple[int, ...]:
+    """The transposed bit matrix one column at a time, by digit translation.
+
+    Column j takes byte j // 8 of every row as one strided slice, turns
+    bit j % 8 of each byte into an ASCII digit, reverses the digits and
+    reads them in base 2.  rows must fit in width bits.
+    """
+    size = (width + 7) // 8
+    data = b"".join(row.to_bytes(size, "little") for row in rows)
+    return tuple(_bit_column(data[j >> 3 :: size], j & 7) for j in range(width))
+
+
 def validate_pairwise(n: int, succ) -> None:
     """The strict-order check with one step per comparable pair.
 

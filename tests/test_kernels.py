@@ -1,18 +1,20 @@
 """The bit-parallel kernels against the per-pair and per-bit paths they replaced.
 
 check_embedding, the three constructions (folklore_embed,
-embed_bounded_antichain, embed_with_antichain), mask_to_text and
-Poset.pred work on whole rows and byte blocks; Poset validation and
-Poset.covers take one step per greedy cover pick; colex_half_subsets
-filters masks by popcount.  The oracles in helpers.py do the same jobs
-one pair, one bit or one combination at a time, and every answer here
-must match them: verdict, witness and reason, certificate bits, labels,
-text and cover masks.
+embed_bounded_antichain, embed_with_antichain), transpose and its 8x8
+tile kernel, mask_to_text and Poset.pred work on whole rows and byte
+blocks; Poset validation and Poset.covers take one step per greedy
+cover pick; colex_half_subsets filters masks by popcount.  The oracles
+in helpers.py do the same jobs one pair, one bit, one column or one
+combination at a time, and every answer here must match them: verdict,
+witness and reason, certificate bits, columns, labels, text and cover
+masks.
 """
 
 from __future__ import annotations
 
 import math
+import random
 import re
 from itertools import combinations
 
@@ -25,8 +27,9 @@ from posetcube.antichain import colex_half_subsets, embed_with_antichain
 from posetcube.chainfamily import embed_bounded_antichain
 from posetcube.dilworth import ChainDecomposition, min_chain_decomposition
 from posetcube.poset import (
-    _PRED_DENSITY,
     Embedding,
+    _block_columns,
+    _tile_swaps,
     folklore_embed,
     mask_from_text,
     mask_to_text,
@@ -43,6 +46,7 @@ from helpers import (
     mask_to_text_reference,
     planted_poset,
     pred_reference,
+    transpose_reference,
     validate_pairwise,
     witness_rejected,
 )
@@ -239,26 +243,86 @@ class TestMaskText:
         assert mask_to_text(bits) == mask_to_text_reference(bits)
 
 
+def columns_bit_by_bit(rows, width: int) -> tuple[int, ...]:
+    """The definition of the transpose: bit i of column j is bit j of rows[i]."""
+    return tuple(sum((row >> j & 1) << i for i, row in enumerate(rows)) for j in range(width))
+
+
+# row counts around the 8-row tile and the 64-row word, and the benchmark's
+ROW_COUNTS = (0, 1, 7, 8, 9, 63, 64, 65, 600)
+FILLS = ("random", "ones", "one-bit")
+
+
+def filled_rows(fill: str, count: int, width: int, rng) -> list[int]:
+    """count rows of width bits: random bits, all ones, or one random bit each."""
+    if fill == "random":
+        return [rng.getrandbits(width) for _ in range(count)]
+    if fill == "ones":
+        return [(1 << width) - 1] * count
+    return [1 << rng.randrange(width) if width else 0 for _ in range(count)]
+
+
 class TestTranspose:
+    @pytest.mark.parametrize("fill", FILLS)
+    @pytest.mark.parametrize("count", ROW_COUNTS)
+    def test_block_columns(self, count, fill):
+        rng = random.Random(count)
+        block = bytes(filled_rows(fill, count, 8, rng))
+        columns = _block_columns(block, _tile_swaps(count))
+        assert tuple(columns) == columns_bit_by_bit(block, 8)
+        assert tuple(columns) == transpose_reference(block, 8)
+
+    @pytest.mark.parametrize("count", ROW_COUNTS)
+    def test_block_columns_of_every_single_bit(self, count):
+        # one set bit moves through every position of every 8x8 tile, so
+        # each bit of each delta-swap mask is taken in both directions
+        swaps = _tile_swaps(count)
+        for i in range(count):
+            for k in range(8):
+                block = bytearray(count)
+                block[i] = 1 << k
+                expected = [1 << i if column == k else 0 for column in range(8)]
+                assert _block_columns(bytes(block), swaps) == expected
+
+    @pytest.mark.parametrize("fill", FILLS)
+    @pytest.mark.parametrize("count", ROW_COUNTS)
+    def test_shapes(self, count, fill):
+        rng = random.Random(count)
+        for width in (0, 1, 5, 13, 67):  # never a multiple of 8 but 0
+            rows = filled_rows(fill, count, width, rng)
+            columns = transpose(rows, width)
+            assert columns == columns_bit_by_bit(rows, width)
+            assert columns == transpose_reference(rows, width)
+
+    @pytest.mark.parametrize("count, width", [(410, 600), (600, 410)])
+    def test_benchmark_shapes(self, count, width):
+        # the label construction's (m columns of n bits) and the verifier's
+        rng = random.Random(count)
+        rows = [rng.getrandbits(width) & rng.getrandbits(width) for _ in range(count)]
+        columns = transpose(rows, width)
+        assert columns == transpose_reference(rows, width)
+        assert columns == columns_bit_by_bit(rows, width)
+        assert transpose(columns, count) == tuple(rows)
+
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 70), st.integers(0, 70), st.randoms(use_true_random=False))
     def test_equals_bit_by_bit(self, count, width, rng):
         rows = [rng.getrandbits(width) for _ in range(count)]
         columns = transpose(rows, width)
         assert len(columns) == width
-        for j, column in enumerate(columns):
-            assert column == sum((row >> j & 1) << i for i, row in enumerate(rows))
+        assert columns == columns_bit_by_bit(rows, width)
 
 
 class TestPred:
-    # pred transposes above n*n/_PRED_DENSITY comparable pairs, loops below
-    @pytest.mark.parametrize(
-        "n, prob, dense", [(200, 1 / 200, False), (200, 0.3, True), (64, 0.015, False), (64, 0.02, True)]
-    )
-    def test_both_sides_of_the_crossover(self, n, prob, dense):
+    @pytest.mark.parametrize("n, prob", [(200, 1 / 200), (200, 0.3), (64, 0.015), (64, 0.02)])
+    def test_fixed_shapes(self, n, prob):
         p = random_poset(n, prob, 7)
-        assert (sum(row.bit_count() for row in p.succ) * _PRED_DENSITY > n * n) == dense
         assert p.pred == pred_reference(p)
+
+    @pytest.mark.parametrize("n", [0, 1, 8, 64, 65])
+    def test_chain_and_antichain(self, n):
+        for p in (Poset.chain(n), Poset.antichain(n)):
+            assert p.pred == pred_reference(p)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 70), st.floats(0.0, 1.0), st.integers(0, 2**32))

@@ -270,6 +270,36 @@ class TestHeaderBound:
             parse_family(f"m={big} count=1\n{big}\n")
 
 
+class TestCanonicalSets:
+    """A ground set parses only in the exact form mask_to_text writes."""
+
+    NOT_CANONICAL = ["1_0", "+3", "03", "1, 3", "1 ,3", "\u0663", "2,1", "1,1", "3,3,10"]
+
+    @pytest.mark.parametrize("text", NOT_CANONICAL)
+    def test_rejected_by_every_parser(self, text):
+        with pytest.raises(FormatError):
+            parse_embedding(f"n=1 m=12\n0: {text}\n")
+        with pytest.raises(FormatError):
+            parse_family(f"m=12 count=1\n{text}\n")
+        with pytest.raises(FormatError):
+            SubsetMask.parse(12, text)
+
+    def test_rewritten_order_is_named(self):
+        with pytest.raises(FormatError, match="'2,1' is not written as '1,2'"):
+            parse_embedding("n=1 m=2\n0: 2,1\n")
+
+    def test_canonical_text_still_parses(self):
+        assert parse_embedding("n=2 m=12\n0: -\n1: 1,3,10,12\n").masks == (0, 0b101000000101)
+        assert parse_family("m=12 count=2\n-\n10\n").masks == (0, 1 << 9)
+        assert SubsetMask.parse(12, "  2,11  ").bits == 0b10000000010
+
+    def test_existing_messages_come_first(self):
+        with pytest.raises(FormatError, match="bad ground element 'x'"):
+            SubsetMask.parse(4, "2,1,x")
+        with pytest.raises(FormatError, match=r"ground element 13 outside \[12\]"):
+            SubsetMask.parse(12, "13,1")
+
+
 class TestSubsetMask:
     def test_elements_are_one_indexed(self):
         assert SubsetMask(5, 0b10011).elements() == (1, 2, 5)
