@@ -26,34 +26,6 @@ PARTITION_SCAN_CAP = 40
 DEFAULT_MAX_SETS = 1 << 24
 
 
-class PartitionSeq(Frozen):
-    """An integer partition: weakly decreasing positive parts."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts: tuple[int, ...]) -> None:
-        object.__setattr__(self, "parts", parts)
-        for prev, part in zip(self.parts, self.parts[1:]):
-            if part > prev:
-                raise ValueError(f"parts not weakly decreasing: {self.parts}")
-        if self.parts and self.parts[-1] < 1:
-            raise ValueError("parts must be positive")
-
-    @property
-    def n(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def k(self) -> int:
-        return len(self.parts)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.parts)
-
-    def __str__(self) -> str:
-        return "(" + ",".join(str(p) for p in self.parts) + ")"
-
-
 class SetFamily(Frozen):
     """A deduplicated family of subsets of [m], sorted by mask value."""
 
@@ -81,8 +53,8 @@ class SetFamily(Frozen):
         return item.m == self.m and i < len(self.masks) and self.masks[i] == item.bits
 
 
-def partitions(n: int, max_parts: int) -> Iterator[PartitionSeq]:
-    """All partitions of n into at most max_parts parts, reverse-lex order."""
+def partitions(n: int, max_parts: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of n into at most max_parts parts: weakly decreasing tuples, reverse-lex order."""
     if n < 0:
         raise ValueError("cannot partition a negative integer")
     if not 0 <= max_parts <= n:
@@ -92,14 +64,16 @@ def partitions(n: int, max_parts: int) -> Iterator[PartitionSeq]:
     return _partition_stream(n, max_parts)
 
 
-def _partition_stream(n: int, max_parts: int) -> Iterator[PartitionSeq]:
+def _partition_stream(n: int, max_parts: int) -> Iterator[tuple[int, ...]]:
     if n == 0:
-        yield PartitionSeq(())
+        yield ()
         return
 
-    def rec(remaining: int, largest: int, budget: int, prefix: list[int]) -> Iterator[PartitionSeq]:
+    def rec(
+        remaining: int, largest: int, budget: int, prefix: list[int]
+    ) -> Iterator[tuple[int, ...]]:
         if remaining == 0:
-            yield PartitionSeq(tuple(prefix))
+            yield tuple(prefix)
             return
         # each of the <= budget parts is <= the head part, so head*budget >= remaining
         low = -(-remaining // budget)
@@ -136,7 +110,7 @@ def partition_count(n: int) -> int:
     return _PARTITION_COUNTS[n]
 
 
-def _family_masks(c: PartitionSeq) -> list[int]:
+def _family_masks(parts: tuple[int, ...]) -> list[int]:
     """The per-cell prefix sets of one partition, in increasing mask order.
 
     Built one cell at a time from the low bits up: every prefix of a new
@@ -145,18 +119,11 @@ def _family_masks(c: PartitionSeq) -> list[int]:
     """
     masks = [0]
     lo = 0
-    for part in c:
+    for part in parts:
         prefixes = [((1 << k) - 1) << lo for k in range(part + 1)]
         masks = [mask | prefix for prefix in prefixes for mask in masks]
         lo += part
     return masks
-
-
-def family_for_partition(n: int, c: PartitionSeq) -> SetFamily:
-    """All subsets of [n] meeting every cell of c in a prefix."""
-    if c.n != n:
-        raise ValueError(f"partition sums to {c.n}, not {n}")
-    return SetFamily(n, tuple(_family_masks(c)))
 
 
 def _balanced_product(n: int, a: int) -> int:
@@ -207,15 +174,15 @@ def chain_family(n: int, a: int, *, max_sets: int = DEFAULT_MAX_SETS) -> SetFami
             f"chain family for n={n}, a={a} exceeds {max_sets} sets"
         )
     seen: set[int] = set()
-    for c in partitions(n, a):
-        seen.update(_family_masks(c))
+    for parts in partitions(n, a):
+        seen.update(_family_masks(parts))
     return SetFamily(n, tuple(sorted(seen)))
 
 
-def is_cell_prefix_union(bits: int, c: PartitionSeq) -> bool:
-    """Does the mask meet every cell of c in a (possibly empty) prefix?"""
+def is_cell_prefix_union(bits: int, parts: tuple[int, ...]) -> bool:
+    """Does the mask meet every cell of the partition in a (possibly empty) prefix?"""
     lo = 0
-    for part in c:
+    for part in parts:
         cell_bits = (bits >> lo) & ((1 << part) - 1)
         if cell_bits & (cell_bits + 1):
             return False
@@ -235,7 +202,7 @@ def member_of_chain_family(t: SubsetMask, n: int, a: int) -> bool:
         raise ValueError(f"chain budget {a} outside [1, {n}]")
     if n > PARTITION_SCAN_CAP:
         raise LimitError(f"partition scan capped at n={PARTITION_SCAN_CAP}, got n={n}")
-    return any(is_cell_prefix_union(t.bits, c) for c in partitions(n, a))
+    return any(is_cell_prefix_union(t.bits, parts) for parts in partitions(n, a))
 
 
 def embed_bounded_antichain(
@@ -257,9 +224,9 @@ def embed_bounded_antichain(
     return Embedding(p.n, transpose(columns, p.n))
 
 
-def decomposition_partition(p: Poset, a: int) -> PartitionSeq:
+def decomposition_partition(p: Poset, a: int) -> tuple[int, ...]:
     """The partition of n given by the canonical chain cover of p."""
-    return PartitionSeq(decomposition_into_exactly(p, a).lengths)
+    return decomposition_into_exactly(p, a).lengths
 
 
 def write_family(family: SetFamily) -> str:

@@ -160,7 +160,9 @@ def mask_from_text(text: str, m: int) -> int:
     text = text.strip()
     if text == "-":
         return 0
-    bits = 0
+    # binary digits, most significant first, read as one int at the end:
+    # OR-ing in 1 << (element - 1) would cost a full-width big-int step each
+    digits = bytearray(b"0") * m
     for piece in text.split(","):
         try:
             element = int(piece)
@@ -168,7 +170,8 @@ def mask_from_text(text: str, m: int) -> int:
             raise FormatError(f"bad ground element {piece!r}") from None
         if not 1 <= element <= m:
             raise FormatError(f"ground element {element} outside [{m}]")
-        bits |= 1 << (element - 1)
+        digits[-element] = 49  # ord("1") at the digit of bit element - 1
+    bits = int(digits[digits.find(49):], 2)  # from the top set bit down
     canonical = mask_to_text(bits)
     if canonical != text:
         raise FormatError(f"ground set {text!r} is not written as {canonical!r}")
@@ -244,9 +247,6 @@ class Embedding(Frozen):
     @property
     def n(self) -> int:
         return len(self.masks)
-
-    def image(self, j: int) -> SubsetMask:
-        return SubsetMask(self.m, self.masks[j])
 
 
 class EmbeddingCheck(Frozen):

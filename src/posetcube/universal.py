@@ -23,7 +23,6 @@ import re
 
 from .antichain import embed_with_antichain, min_ell
 from .chainfamily import (
-    PartitionSeq,
     chain_family_counts,
     embed_bounded_antichain,
     member_of_chain_family,
@@ -170,10 +169,11 @@ def _verify(
     costs").  Membership is established through a branch-specific witness
     instead of the general predicate, so verification works at any n.
     Chain-cover images must be per-cell prefix unions of the partition
-    given by the chain lengths of dec, which must split [n] into at most a
-    cells; _chain_escape tests each image with one expression.  The other
-    branches must produce subsets of [m], which the largest image decides;
-    the images are scanned only to name the one that escapes.
+    given by the chain lengths of dec, which must be positive, weakly
+    decreasing and sum to n in at most a parts; _chain_escape tests each
+    image with one expression.  The other branches must produce subsets of
+    [m], which the largest image decides; the images are scanned only to
+    name the one that escapes.
     """
     verdict = check_embedding(p, emb)
     if not verdict:
@@ -181,12 +181,13 @@ def _verify(
             f"embedding not order-faithful at pair {verdict.witness}: {verdict.reason}"
         )
     if branch == BRANCH_CHAIN:
-        c = PartitionSeq(dec.lengths)
-        if c.n != u.n or c.k > u.a:
+        parts = dec.lengths
+        decreasing = all(x >= y > 0 for x, y in zip(parts, parts[1:]))
+        if sum(parts) != u.n or len(parts) > u.a or not decreasing:
             raise VerificationError(
-                f"chain cover {c} is no partition of {u.n} into at most {u.a} parts"
+                f"chain cover {parts} is no partition of {u.n} into at most {u.a} parts"
             )
-        j = _chain_escape(emb.masks, c)
+        j = _chain_escape(emb.masks, parts)
         if j is not None:
             raise VerificationError(f"image of element {j} escapes the chain family")
     elif max(emb.masks, default=0) >> u.m:
@@ -194,15 +195,15 @@ def _verify(
         raise VerificationError(f"image of element {j} escapes the lattice part")
 
 
-def _chain_escape(masks: tuple[int, ...], c: PartitionSeq) -> int | None:
-    """The first j whose masks[j] is no per-cell prefix union of c, else None.
+def _chain_escape(masks: tuple[int, ...], parts: tuple[int, ...]) -> int | None:
+    """The first j whose masks[j] is no per-cell prefix union of parts, else None.
 
     With starts marking the first position of each cell, a mask inside
-    [c.n] is a per-cell prefix union iff bits & ~(bits << 1) & ~starts is
-    0: a set bit whose lower neighbour is clear may only open a cell.
+    [sum(parts)] is a per-cell prefix union iff bits & ~(bits << 1) & ~starts
+    is 0: a set bit whose lower neighbour is clear may only open a cell.
     """
     starts = lo = 0
-    for part in c:
+    for part in parts:
         starts |= 1 << lo
         lo += part
     for j, bits in enumerate(masks):

@@ -11,6 +11,9 @@ Two exponential tools live here rather than in the package, because the
 embedding job never needs them: enumerate_posets, which yields every
 labeled poset on n elements for the exhaustive tests (n <= 5), and
 hardy_ramanujan, the asymptotic estimate that p(n) is checked against.
+PartitionSeq and family_for_partition left the package for the same
+reason: the library streams partitions as plain tuples, and only the
+tests build the family of a single partition.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from itertools import combinations, product
 from typing import Iterator
 
 from posetcube import LimitError, Poset, SizeError, SizeMismatchError
-from posetcube.chainfamily import chain_family
+from posetcube.chainfamily import SetFamily, _family_masks, chain_family
 from posetcube.poset import Embedding, EmbeddingCheck, Frozen, bit_indices, transitive_closure
 
 BRUTE_FORCE_CAP = 20
@@ -518,6 +521,50 @@ def has_augmenting_path(n: int, succ, mate_left, mate_right) -> bool:
     )
 
 
+class PartitionSeq(Frozen):
+    """An integer partition: weakly decreasing positive parts.
+
+    The library streams partitions as plain tuples and never checks them
+    one by one; wrapping a tuple here checks that it is a partition.
+    """
+
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple[int, ...]) -> None:
+        object.__setattr__(self, "parts", parts)
+        for prev, part in zip(self.parts, self.parts[1:]):
+            if part > prev:
+                raise ValueError(f"parts not weakly decreasing: {self.parts}")
+        if self.parts and self.parts[-1] < 1:
+            raise ValueError("parts must be positive")
+
+    @property
+    def n(self) -> int:
+        return sum(self.parts)
+
+    @property
+    def k(self) -> int:
+        return len(self.parts)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.parts)
+
+    def __str__(self) -> str:
+        return "(" + ",".join(str(p) for p in self.parts) + ")"
+
+
+def family_for_partition(n: int, parts) -> SetFamily:
+    """All subsets of [n] meeting every cell of the partition in a prefix.
+
+    parts is a tuple or a PartitionSeq; it goes through PartitionSeq, so
+    every call also checks that it is a partition.
+    """
+    c = PartitionSeq(tuple(parts))
+    if c.n != n:
+        raise ValueError(f"partition sums to {c.n}, not {n}")
+    return SetFamily(n, tuple(_family_masks(c.parts)))
+
+
 def partition_count_table(n: int, max_parts: int) -> int:
     """Partitions of n into at most max_parts parts, by the standard DP."""
     table = [[0] * (max_parts + 1) for _ in range(n + 1)]
@@ -569,7 +616,7 @@ def naive_chain_family(n: int, a: int, all_partitions) -> set[int]:
     family = set()
     for bits in range(1 << n):
         elements = {i + 1 for i in bit_indices(bits)}
-        if any(is_prefix_union_naive(elements, c.parts) for c in all_partitions):
+        if any(is_prefix_union_naive(elements, parts) for parts in all_partitions):
             family.add(bits)
     return family
 

@@ -35,14 +35,19 @@ from posetcube.chainfamily import (
     SetFamily,
     _family_masks,
     chain_family,
-    family_for_partition,
     partition_count,
     partitions,
 )
 from posetcube.cli import main
 from posetcube.dilworth import max_antichain, min_chain_decomposition
 from posetcube.poset import Embedding
-from helpers import enumerate_posets, hardy_ramanujan, max_antichain_bruteforce, planted_poset
+from helpers import (
+    enumerate_posets,
+    family_for_partition,
+    hardy_ramanujan,
+    max_antichain_bruteforce,
+    planted_poset,
+)
 
 # exact family sizes for the default budget, frozen after first computation
 CARDINALITY_FIXTURE = {
@@ -113,7 +118,7 @@ def test_criterion_3_family_size_formula(announce):
         checked = 0
         for n in range(1, 21):
             for c in partitions(n, n):
-                expected = math.prod(part + 1 for part in c.parts)
+                expected = math.prod(part + 1 for part in c)
                 assert len(family_for_partition(n, c)) == expected, (n, c)
                 checked += 1
         detail = f"exact product size on all {checked} partitions with n<=20"
@@ -134,7 +139,7 @@ def test_criterion_4_chain_family_bound(announce):
         for n in range(1, 21):
             by_parts: dict[int, list] = {}
             for c in partitions(n, n):
-                by_parts.setdefault(c.k, []).append(c)
+                by_parts.setdefault(len(c), []).append(c)
             union: set[int] = set()
             for a in range(1, n + 1):
                 for c in by_parts.get(a, []):

@@ -22,13 +22,11 @@ from posetcube import (
     write_family,
 )
 from posetcube.chainfamily import (
-    PartitionSeq,
     SetFamily,
     _family_masks,
     chain_family,
     chain_family_counts,
     embed_bounded_antichain,
-    family_for_partition,
     is_cell_prefix_union,
     member_of_chain_family,
     partition_count,
@@ -36,7 +34,9 @@ from posetcube.chainfamily import (
 )
 from posetcube.dilworth import max_antichain, min_chain_decomposition
 from helpers import (
+    PartitionSeq,
     enumerate_posets,
+    family_for_partition,
     family_masks_product,
     hardy_ramanujan,
     is_prefix_union_naive,
@@ -51,20 +51,20 @@ def masks_of(family: SetFamily) -> set[int]:
 
 class TestPartitions:
     def test_four_into_two(self):
-        assert [c.parts for c in partitions(4, 2)] == [(4,), (3, 1), (2, 2)]
+        assert list(partitions(4, 2)) == [(4,), (3, 1), (2, 2)]
 
     def test_single_part(self):
-        assert [c.parts for c in partitions(9, 1)] == [(9,)]
+        assert list(partitions(9, 1)) == [(9,)]
 
     def test_five_unrestricted(self):
         assert sum(1 for _ in partitions(5, 5)) == 7
 
     def test_zero(self):
-        assert [c.parts for c in partitions(0, 0)] == [()]
+        assert list(partitions(0, 0)) == [()]
 
     def test_reverse_lexicographic_order(self):
         for n, k in [(8, 8), (10, 4), (12, 3)]:
-            seen = [c.parts for c in partitions(n, k)]
+            seen = list(partitions(n, k))
             assert seen == sorted(seen, reverse=True)
             assert len(seen) == len(set(seen))
 
@@ -75,15 +75,27 @@ class TestPartitions:
         listed = list(partitions(n, max_parts))
         assert len(listed) == partition_count_table(n, max_parts)
         for c in listed:
-            assert c.n == n and c.k <= max_parts
-            assert all(a >= b for a, b in zip(c.parts, c.parts[1:]))
-            assert all(part >= 1 for part in c.parts)
+            assert sum(c) == n and len(c) <= max_parts
+            assert all(a >= b for a, b in zip(c, c[1:]))
+            assert all(part >= 1 for part in c)
 
     def test_bad_budget_rejected(self):
         with pytest.raises(ValueError):
             partitions(5, 0)
         with pytest.raises(ValueError):
             partitions(5, 6)
+
+    def test_every_streamed_tuple_is_a_partition_seq(self):
+        # the stream checks none of the tuples it yields; PartitionSeq checks
+        # each one, for every n <= 16 and every valid budget
+        for n in range(17):
+            for max_parts in range(0 if n == 0 else 1, n + 1):
+                listed = list(partitions(n, max_parts))
+                assert len(listed) == partition_count_table(n, max_parts), (n, max_parts)
+                for parts in listed:
+                    assert type(parts) is tuple
+                    c = PartitionSeq(parts)
+                    assert c.n == n and c.k <= max_parts, (n, max_parts, parts)
 
     def test_partition_seq_validation(self):
         with pytest.raises(ValueError):
@@ -141,15 +153,15 @@ class TestFamilyForPartition:
         all_parts = list(partitions(n, n))
         c = all_parts[pick % len(all_parts)]
         fam = family_for_partition(n, c)
-        expected = math.prod(part + 1 for part in c.parts)
+        expected = math.prod(part + 1 for part in c)
         assert len(fam) == expected
         for s in fam:
-            assert is_prefix_union_naive(set(s.elements()), c.parts)
+            assert is_prefix_union_naive(set(s.elements()), c)
 
     def test_cell_by_cell_lists_equal_the_product_oracle(self):
         for n in range(13):
             for c in partitions(n, n):
-                assert _family_masks(c) == family_masks_product(c.parts), c
+                assert _family_masks(c) == family_masks_product(c), c
 
 
 class TestChainFamily:
@@ -266,7 +278,7 @@ class TestIsCellPrefixUnion:
         c = all_parts[pick % len(all_parts)]
         bits &= (1 << n) - 1
         elements = set(SubsetMask(n, bits).elements())
-        assert is_cell_prefix_union(bits, c) == is_prefix_union_naive(elements, c.parts)
+        assert is_cell_prefix_union(bits, c) == is_prefix_union_naive(elements, c)
 
 
 class TestEmbedBoundedAntichain:

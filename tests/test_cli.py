@@ -224,7 +224,7 @@ class TestPartitionsCommand:
         assert partition_count(50) == 204226
 
     def test_listing(self):
-        assert [c.parts for c in partitions(4, 4)] == [
+        assert list(partitions(4, 4)) == [
             (4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1),
         ]
 

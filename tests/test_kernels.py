@@ -240,7 +240,9 @@ class TestMaskText:
         bits = rng.getrandbits(width)
         for _ in range(thinning):  # halve the density each round
             bits &= rng.getrandbits(width)
-        assert mask_to_text(bits) == mask_to_text_reference(bits)
+        text = mask_to_text(bits)
+        assert text == mask_to_text_reference(bits)
+        assert mask_from_text(text, width) == bits
 
 
 def columns_bit_by_bit(rows, width: int) -> tuple[int, ...]:

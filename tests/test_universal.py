@@ -29,8 +29,14 @@ from posetcube import (
     write_embedding,
 )
 from posetcube.antichain import min_ell
-from posetcube.chainfamily import chain_family, is_cell_prefix_union, partition_count, partitions
-from posetcube.dilworth import min_chain_decomposition
+from posetcube.chainfamily import (
+    chain_family,
+    embed_bounded_antichain,
+    is_cell_prefix_union,
+    partition_count,
+    partitions,
+)
+from posetcube.dilworth import ChainDecomposition, min_chain_decomposition
 from posetcube.poset import Embedding, folklore_embed
 from posetcube.universal import (
     BRANCH_ANTICHAIN,
@@ -265,6 +271,34 @@ class TestVerifyWitnesses:
                 with pytest.raises(VerificationError) as info:
                     _verify(u, p, swapped, BRANCH_ANTICHAIN, None)
                 assert str(info.value) == f"image of element {j} escapes the lattice part"
+
+    def test_cover_listed_shortest_first_is_no_partition(self):
+        # the cells follow the reversed chains, so the embedding is
+        # order-faithful, but its cover's lengths are not weakly decreasing
+        p = random_poset(30, 0.3, 0)
+        u = build_universal(p.n)
+        dec = min_chain_decomposition(p)
+        shortest_first = ChainDecomposition(p, dec.chains[::-1])
+        assert shortest_first.lengths == (5, 6, 8, 11)
+        emb = embed_bounded_antichain(p, u.a, shortest_first)
+        assert check_embedding(p, emb).ok
+        with pytest.raises(VerificationError) as info:
+            _verify(u, p, emb, BRANCH_CHAIN, shortest_first)
+        assert str(info.value) == (
+            "chain cover (5, 6, 8, 11) is no partition of 30 into at most 10 parts"
+        )
+
+    def test_cover_wider_than_the_budget_is_no_partition(self):
+        p = random_poset(30, 0.3, 0)
+        u = build_universal(p.n)
+        singletons = ChainDecomposition(p, tuple((v,) for v in range(p.n)))
+        emb = embed_bounded_antichain(p, p.n, singletons)
+        assert check_embedding(p, emb).ok and u.a < p.n
+        with pytest.raises(VerificationError) as info:
+            _verify(u, p, emb, BRANCH_CHAIN, singletons)
+        assert str(info.value) == (
+            f"chain cover {(1,) * p.n} is no partition of 30 into at most {u.a} parts"
+        )
 
     def test_chain_escape_equals_is_cell_prefix_union(self):
         for n in range(11):

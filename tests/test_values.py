@@ -1,8 +1,9 @@
-"""Value semantics of the package's eight immutable classes.
+"""Value semantics of the package's seven immutable classes.
 
-AntichainSplit, the validated three-block layout that the label oracle in
-tests/helpers.py builds, derives from the same base and is pinned with
-them.
+Two validated classes of tests/helpers.py derive from the same base and
+are pinned with them: AntichainSplit, the three-block layout that the
+label oracle builds, and PartitionSeq, which checks a tuple of the
+library's partition stream.
 
 Each class is pinned on what callers can see: equality (same class only),
 hashing that agrees with it, fields that cannot be assigned or deleted,
@@ -17,11 +18,11 @@ import pickle
 
 import pytest
 
-from posetcube.chainfamily import PartitionSeq, SetFamily
+from posetcube.chainfamily import SetFamily
 from posetcube.dilworth import ChainDecomposition
 from posetcube.poset import Embedding, EmbeddingCheck, Frozen, Poset, SubsetMask
 from posetcube.universal import UniversalFamily
-from helpers import AntichainSplit
+from helpers import AntichainSplit, PartitionSeq
 
 CHAIN2 = Poset(2, (2, 0))
 
