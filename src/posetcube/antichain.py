@@ -83,7 +83,8 @@ def embed_with_antichain(
       x_i, succ[x_i] | 1 << x_i;
     - label position j: every above element and the antichain elements
       whose label has bit j, labels being the colex-least half-size
-      subsets of the window, given to the antichain in ascending order;
+      subsets of the window, given to the antichain in ascending order
+      (one transpose of the rows that hold each element's label);
     - above position t (element z_t, ascending): the antichain and above
       elements not at or under z_t, the complement of pred[z_t] | 1 << z_t.
 
@@ -95,12 +96,11 @@ def embed_with_antichain(
     ell = min_ell(a)
     if a < 2:
         raise SizeError("antichain embedding needs at least two elements")
-    labels = [above] * ell
+    rows = [0] * p.n
     for y, label in zip(bit_indices(chosen), colex_half_subsets(ell, a)):
-        for j in bit_indices(label):
-            labels[j] |= 1 << y
+        rows[y] = label
     succ, pred = p.succ, p.pred
     columns = [succ[x] | 1 << x for x in bit_indices(below)]
-    columns += labels
+    columns += [above | column for column in transpose(rows, ell)]
     columns += [(chosen | above) & ~(pred[z] | 1 << z) for z in bit_indices(above)]
     return Embedding(len(columns), transpose(columns, p.n))

@@ -19,7 +19,7 @@ from collections.abc import Iterator
 from .dilworth import ChainDecomposition, decomposition_into_exactly
 from .errors import FormatError, LimitError, MemoryLimitError
 from .poset import (
-    MAX_ELEMENTS, Embedding, Frozen, Poset, SubsetMask, mask_from_text, mask_to_text, transpose
+    MAX_ELEMENTS, Embedding, Frozen, Poset, SubsetMask, mask_from_text, masks_to_text, transpose
 )
 
 PARTITION_SCAN_CAP = 40
@@ -232,7 +232,7 @@ def decomposition_partition(p: Poset, a: int) -> tuple[int, ...]:
 def write_family(family: SetFamily) -> str:
     """Serialize a family: header 'm=<m> count=<k>', then one set per line."""
     lines = [f"m={family.m} count={len(family)}"]
-    lines.extend(mask_to_text(bits) for bits in family.masks)
+    lines += masks_to_text(family.masks)
     lines.append("")  # the final newline, without a second copy of the text
     return "\n".join(lines)
 

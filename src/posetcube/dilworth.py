@@ -26,6 +26,8 @@ in ascending order gives.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import chain as iter_chain, repeat
+from operator import and_, rshift
 
 from .errors import InfeasibleError
 from .poset import Frozen, Poset, bit_indices
@@ -46,6 +48,17 @@ class ChainDecomposition(Frozen):
     def __init__(self, poset: Poset, chains: tuple[tuple[int, ...], ...]) -> None:
         object.__setattr__(self, "poset", poset)
         object.__setattr__(self, "chains", chains)
+        # accept in C: the chains list 0..n-1 once each, and every
+        # consecutive pair (a, b) has bit b in succ[a]
+        succ = self.poset.succ
+        elements = sorted(iter_chain.from_iterable(self.chains))
+        lows = iter_chain.from_iterable([chain[:-1] for chain in self.chains])
+        highs = iter_chain.from_iterable([chain[1:] for chain in self.chains])
+        if elements == list(range(self.poset.n)) and all(
+            map(and_, map(rshift, map(succ.__getitem__, lows), highs), repeat(1))
+        ):
+            return
+        # otherwise name the first offender, one element and pair at a time
         seen = 0
         for chain in self.chains:
             for u in chain:

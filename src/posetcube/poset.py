@@ -14,7 +14,8 @@ import re
 import threading
 from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property
-from itertools import compress
+from itertools import chain, compress, repeat
+from operator import getitem
 
 from .errors import CycleError, FormatError, SizeMismatchError
 
@@ -22,7 +23,9 @@ from .errors import CycleError, FormatError, SizeMismatchError
 # reject bigger ones before allocating anything of that size.
 MAX_ELEMENTS = 1 << 16
 
-_PAIR_RE = re.compile(r"^(\d+)\s*<\s*(\d+)$")
+# one 'u < v' line; MULTILINE lets one findall take the pairs of a whole
+# body whose lines are joined by "\n"
+_PAIR_RE = re.compile(r"^(\d+)\s*<\s*(\d+)$", re.MULTILINE)
 
 # The three delta swaps that transpose an 8x8 bit tile held in a 64-bit
 # word, byte r being row r (Hacker's Delight, section 7-3): shift and mask.
@@ -85,20 +88,59 @@ def bit_indices(mask: int) -> Iterator[int]:
         mask ^= lsb
 
 
+def _positions(width: int) -> list[str]:
+    """_POSITIONS, grown to hold the text of every position below width."""
+    if len(_POSITIONS) < width:
+        with _POSITIONS_LOCK:
+            _POSITIONS.extend(map(str, range(len(_POSITIONS) + 1, width + 1)))
+    return _POSITIONS
+
+
 def mask_to_text(bits: int) -> str:
     """Render a ground-set bitmask as 1-indexed elements, ``-`` if empty.
 
     The binary digits of bits select, in C, from a shared list of position
-    strings, so no Python step runs per set bit.
+    strings, so no Python step runs per set bit.  masks_to_text renders
+    many masks at once.
     """
     if bits == 0:
         return "-"
-    width = bits.bit_length()
-    if len(_POSITIONS) < width:
-        with _POSITIONS_LOCK:
-            _POSITIONS.extend(map(str, range(len(_POSITIONS) + 1, width + 1)))
     selectors = format(bits, "b").encode()[::-1].translate(_DIGIT_VALUES)
-    return ",".join(compress(_POSITIONS, selectors))
+    return ",".join(compress(_positions(bits.bit_length()), selectors))
+
+
+def masks_to_text(masks: Sequence[int]) -> Iterator[str]:
+    """mask_to_text of every mask, built from byte-block text tables.
+
+    The masks are packed into little-endian bytes, byte b of a mask
+    holding ground positions 8b+1..8b+8 (the layout of _byte_columns).
+    For each byte value that occurs in block b, the text of its set
+    positions is built once, and each mask joins the fragments of its
+    nonzero bytes.  So the Python steps are one per mask and one per
+    distinct (block, byte value), never one per set bit.  The tables live
+    for this call only; they hold at most 256 entries per block.  The
+    texts are yielded one at a time, so a caller that wraps each in a
+    line never holds two copies of the whole text.
+    """
+    width = max(masks, default=0).bit_length()
+    if width == 0:
+        return repeat("-", len(masks))
+    positions = _positions(width)
+    size = (width + 7) // 8
+    data = b"".join(bits.to_bytes(size, "little") for bits in masks)
+    # selectors[value][k] is bit k of the byte value, as a 0 or 1 byte
+    selectors = [
+        format(value, "08b").encode()[::-1].translate(_DIGIT_VALUES) for value in range(256)
+    ]
+    tables = []
+    for b in range(size):
+        table = [""] * 256
+        block_positions = positions[8 * b : 8 * b + 8]
+        for value in set(data[b::size]):
+            table[value] = ",".join(compress(block_positions, selectors[value]))
+        tables.append(table)
+    rows = (data[i : i + size] for i in range(0, len(data), size))
+    return (",".join(filter(None, map(getitem, tables, row))) or "-" for row in rows)
 
 
 def _byte_columns(rows: Sequence[int], width: int) -> list[bytes]:
@@ -380,8 +422,12 @@ def _picks_union(succ: Sequence[int], u: int) -> int:
 def transitive_closure(n: int, direct: Sequence[int]) -> list[int]:
     """Close direct successor masks under transitivity via DFS.
 
-    Raises CycleError on the first back edge, i.e. as soon as the closure
-    would force some u strictly below itself.
+    Each stack entry carries the reach gathered so far for its element:
+    a child already finished is ORed in when its arc is taken, and a child
+    finished later ORs its reach into its parent's entry when it is
+    popped, so every arc is visited once.  Raises CycleError on the first
+    back edge, i.e. as soon as the closure would force some u strictly
+    below itself.
     """
     reach = [0] * n
     state = bytearray(n)  # 0 unvisited, 1 on the DFS stack, 2 finished
@@ -389,25 +435,27 @@ def transitive_closure(n: int, direct: Sequence[int]) -> list[int]:
         if state[root]:
             continue
         state[root] = 1
-        stack = [(root, direct[root])]
+        stack = [(root, direct[root], direct[root])]
         while stack:
-            u, pending = stack[-1]
+            u, pending, row = stack[-1]
             if pending:
                 lsb = pending & -pending
                 v = lsb.bit_length() - 1
-                stack[-1] = (u, pending ^ lsb)
                 if state[v] == 1:
                     raise CycleError(f"cycle through element {v}")
-                if state[v] == 0:
+                if state[v] == 2:
+                    stack[-1] = (u, pending ^ lsb, row | reach[v])
+                else:
+                    stack[-1] = (u, pending ^ lsb, row)
                     state[v] = 1
-                    stack.append((v, direct[v]))
+                    stack.append((v, direct[v], direct[v]))
             else:
                 stack.pop()
-                row = direct[u]
-                for v in bit_indices(direct[u]):
-                    row |= reach[v]
                 reach[u] = row
                 state[u] = 2
+                if stack:
+                    parent, pending, above = stack[-1]
+                    stack[-1] = (parent, pending, above | row)
     return reach
 
 
@@ -503,12 +551,17 @@ def write_poset(p: Poset) -> str:
 
 
 def parse_poset(text: str) -> Poset:
-    """Parse the poset text format; '#' starts a comment, blank lines skipped."""
-    lines = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append(line)
+    """Parse the poset text format; '#' starts a comment, blank lines skipped.
+
+    Lines are stripped, and the pairs taken by one findall over the body,
+    without a Python step per line.  A line that is no pair leaves the
+    findall short of one pair per line, and only then is the body matched
+    line by line, to name the first bad line.
+    """
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    lines = list(filter(None, map(str.strip, lines)))
     if not lines:
         raise FormatError("empty poset file")
     try:
@@ -517,13 +570,17 @@ def parse_poset(text: str) -> Poset:
         raise FormatError(f"expected element count on first line, got {lines[0]!r}") from None
     if not 0 <= n <= MAX_ELEMENTS:
         raise FormatError(f"element count {n} outside [0, {MAX_ELEMENTS}]")
-    pairs = []
-    for line in lines[1:]:
-        match = _PAIR_RE.match(line)
-        if not match:
-            raise FormatError(f"expected 'u < v', got {line!r}")
-        pairs.append((int(match.group(1)), int(match.group(2))))
+    body = lines[1:]
+    found = _PAIR_RE.findall("\n".join(body))
+    if len(found) != len(body):
+        found = []
+        for line in body:
+            match = _PAIR_RE.match(line)
+            if not match:
+                raise FormatError(f"expected 'u < v', got {line!r}")
+            found.append(match.groups())
+    ends = list(map(int, chain.from_iterable(found)))
     try:
-        return Poset.from_relations(n, pairs)
+        return Poset.from_relations(n, zip(ends[::2], ends[1::2]))
     except ValueError as exc:
         raise FormatError(str(exc)) from None

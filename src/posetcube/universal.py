@@ -41,7 +41,7 @@ from .poset import (
     check_embedding,
     folklore_embed,
     mask_from_text,
-    mask_to_text,
+    masks_to_text,
 )
 
 BRANCH_CHAIN = "chain-cover"
@@ -215,8 +215,7 @@ def _chain_escape(masks: tuple[int, ...], parts: tuple[int, ...]) -> int | None:
 def write_embedding(emb: Embedding) -> str:
     """Serialize an embedding: header 'n=<n> m=<m>', then 'j: elements'."""
     lines = [f"n={emb.n} m={emb.m}"]
-    for j, bits in enumerate(emb.masks):
-        lines.append(f"{j}: {mask_to_text(bits)}")
+    lines += [f"{j}: {text}" for j, text in enumerate(masks_to_text(emb.masks))]
     lines.append("")  # the final newline, without a second copy of the text
     return "\n".join(lines)
 

@@ -13,20 +13,31 @@ labeled poset on n elements for the exhaustive tests (n <= 5), and
 hardy_ramanujan, the asymptotic estimate that p(n) is checked against.
 PartitionSeq and family_for_partition left the package for the same
 reason: the library streams partitions as plain tuples, and only the
-tests build the family of a single partition.
+tests build the family of a single partition.  The text paths that the
+package replaced (per-line parse_poset, per-mask writers, the closure
+that visits every arc twice) stay here as oracles in their old form.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import re
 from collections import deque
 from itertools import combinations, product
 from typing import Iterator
 
-from posetcube import LimitError, Poset, SizeError, SizeMismatchError
+from posetcube import CycleError, FormatError, LimitError, Poset, SizeError, SizeMismatchError
 from posetcube.chainfamily import SetFamily, _family_masks, chain_family
-from posetcube.poset import Embedding, EmbeddingCheck, Frozen, bit_indices, transitive_closure
+from posetcube.poset import (
+    MAX_ELEMENTS,
+    Embedding,
+    EmbeddingCheck,
+    Frozen,
+    bit_indices,
+    mask_to_text,
+    transitive_closure,
+)
 
 BRUTE_FORCE_CAP = 20
 
@@ -324,6 +335,105 @@ def mask_to_text_reference(bits: int) -> str:
     if bits == 0:
         return "-"
     return ",".join(str(i + 1) for i in bit_indices(bits))
+
+
+def write_embedding_reference(emb: Embedding) -> str:
+    """The embedding text format, one mask_to_text call per image."""
+    lines = [f"n={emb.n} m={emb.m}"]
+    for j, bits in enumerate(emb.masks):
+        lines.append(f"{j}: {mask_to_text(bits)}")
+    lines.append("")
+    return "\n".join(lines)
+
+
+def write_family_reference(family: SetFamily) -> str:
+    """The family text format, one mask_to_text call per set."""
+    lines = [f"m={family.m} count={len(family)}"]
+    lines.extend(mask_to_text(bits) for bits in family.masks)
+    lines.append("")
+    return "\n".join(lines)
+
+
+_PAIR_LINE = re.compile(r"^(\d+)\s*<\s*(\d+)$")
+
+
+def parse_poset_reference(text: str) -> Poset:
+    """The poset text format read one line and one pair at a time."""
+    lines = []
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            lines.append(line)
+    if not lines:
+        raise FormatError("empty poset file")
+    try:
+        n = int(lines[0])
+    except ValueError:
+        raise FormatError(f"expected element count on first line, got {lines[0]!r}") from None
+    if not 0 <= n <= MAX_ELEMENTS:
+        raise FormatError(f"element count {n} outside [0, {MAX_ELEMENTS}]")
+    pairs = []
+    for line in lines[1:]:
+        match = _PAIR_LINE.match(line)
+        if not match:
+            raise FormatError(f"expected 'u < v', got {line!r}")
+        pairs.append((int(match.group(1)), int(match.group(2))))
+    try:
+        return Poset.from_relations(n, pairs)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
+
+
+def transitive_closure_reference(n: int, direct) -> list[int]:
+    """DFS closure that visits each arc twice: once to descend, once to OR in its reach.
+
+    Same DFS order, and so the same CycleError element, as the library.
+    """
+    reach = [0] * n
+    state = bytearray(n)  # 0 unvisited, 1 on the DFS stack, 2 finished
+    for root in range(n):
+        if state[root]:
+            continue
+        state[root] = 1
+        stack = [(root, direct[root])]
+        while stack:
+            u, pending = stack[-1]
+            if pending:
+                lsb = pending & -pending
+                v = lsb.bit_length() - 1
+                stack[-1] = (u, pending ^ lsb)
+                if state[v] == 1:
+                    raise CycleError(f"cycle through element {v}")
+                if state[v] == 0:
+                    state[v] = 1
+                    stack.append((v, direct[v]))
+            else:
+                stack.pop()
+                row = direct[u]
+                for v in bit_indices(direct[u]):
+                    row |= reach[v]
+                reach[u] = row
+                state[u] = 2
+    return reach
+
+
+def validate_chains_reference(p: Poset, chains) -> None:
+    """ChainDecomposition's check one element and one pair at a time.
+
+    Raises what the constructor raises, with the same message, at the
+    first offence; returns None for a valid cover.
+    """
+    seen = 0
+    for chain in chains:
+        for u in chain:
+            if (seen >> u) & 1:
+                raise ValueError(f"element {u} appears in two chains")
+            seen |= 1 << u
+        for a, b in zip(chain, chain[1:]):
+            if not p.less(a, b):
+                raise ValueError(f"chain pair ({a}, {b}) not ordered")
+    if seen != (1 << p.n) - 1:
+        raise ValueError("chains do not cover every element")
 
 
 def pred_reference(p: Poset) -> tuple[int, ...]:
