@@ -7,7 +7,10 @@ size) chains, which is optimal; the dual vertex cover yields a maximum
 antichain of exactly that many elements.  The chains determine the
 matching, so one matching per poset gives both (Fulkerson 1956).
 
-Matching is Hopcroft-Karp on bitmask rows.  Each phase builds its BFS
+Matching is Hopcroft-Karp on bitmask rows.  An element with no successor
+has no edge on the left, so only the others enter frontiers and root
+scans, and a free root with no candidate is skipped: it is no one's
+mate, so its dead end would change nothing.  Each phase builds its BFS
 layers from whole frontiers: the union of succ[u] over one layer, minus
 the right vertices already seen, is the next layer of right vertices, so
 every right vertex is touched once per phase.  The augmenting search is
@@ -26,7 +29,7 @@ in ascending order gives.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain as iter_chain, repeat
+from itertools import chain as iter_chain, compress, repeat
 from operator import and_, rshift
 
 from .errors import InfeasibleError
@@ -62,6 +65,8 @@ class ChainDecomposition(Frozen):
         seen = 0
         for chain in self.chains:
             for u in chain:
+                if not 0 <= u < self.poset.n:
+                    raise ValueError(f"element {u} outside poset range")
                 if (seen >> u) & 1:
                     raise ValueError(f"element {u} appears in two chains")
                 seen |= 1 << u
@@ -124,7 +129,9 @@ def _hopcroft_karp(n: int, succ: tuple[int, ...]) -> tuple[list[int], list[int]]
     mate_right = [NO_MATE] * n
     inf = n + 1
     free_right = (1 << n) - 1
-    for u in range(n):
+    # only an element with a successor can be matched on the left
+    left = list(compress(range(n), succ))
+    for u in left:
         candidates = succ[u] & free_right
         if candidates:
             lsb = candidates & -candidates
@@ -136,7 +143,7 @@ def _hopcroft_karp(n: int, succ: tuple[int, ...]) -> tuple[list[int], list[int]]
         # BFS: dist of every left vertex reachable from a free one, and
         # layer[d], the right vertices whose mate sits at distance d
         dist = [inf] * n
-        frontier = [u for u in range(n) if mate_left[u] == NO_MATE]
+        frontier = [u for u in left if mate_left[u] == NO_MATE]
         layer = [0]
         seen_right = 0
         while frontier:
@@ -152,14 +159,17 @@ def _hopcroft_karp(n: int, succ: tuple[int, ...]) -> tuple[list[int], list[int]]
             frontier = [mate_right[v] for v in bit_indices(matched)]
         if not seen_right & free_right:
             return mate_left, mate_right
-        for root in range(n):
+        for root in left:
             if mate_left[root] != NO_MATE:
+                continue
+            first = succ[root] & (free_right | layer[1])
+            if not first:
                 continue
             # path[i] is the left vertex at depth i, via[i] the right vertex
             # that leads on from it, todo[i] its candidates not yet tried
             path = [root]
             via: list[int] = []
-            todo = [succ[root] & (free_right | layer[1])]
+            todo = [first]
             while path:
                 u = path[-1]
                 pending = todo[-1]

@@ -15,7 +15,7 @@ import threading
 from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property
 from itertools import chain, compress, repeat
-from operator import getitem
+from operator import and_, getitem, lshift, or_, rshift
 
 from .errors import CycleError, FormatError, SizeMismatchError
 
@@ -31,6 +31,10 @@ _PAIR_RE = re.compile(r"^(\d+)\s*<\s*(\d+)$", re.MULTILINE)
 # word, byte r being row r (Hacker's Delight, section 7-3): shift and mask.
 _TILE_SWAPS = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
 _DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+# _SELECTORS[value][k] is bit k of the byte value, as a 0 or 1 byte
+_SELECTORS = tuple(
+    format(value, "08b").encode()[::-1].translate(_DIGIT_VALUES) for value in range(256)
+)
 
 # "1", "2", ...: the text of each ground position, grown to the widest mask
 # rendered so far and never shrunk or rewritten.
@@ -127,31 +131,32 @@ def masks_to_text(masks: Sequence[int]) -> Iterator[str]:
         return repeat("-", len(masks))
     positions = _positions(width)
     size = (width + 7) // 8
-    data = b"".join(bits.to_bytes(size, "little") for bits in masks)
-    # selectors[value][k] is bit k of the byte value, as a 0 or 1 byte
-    selectors = [
-        format(value, "08b").encode()[::-1].translate(_DIGIT_VALUES) for value in range(256)
-    ]
+    data = _packed(masks, size)
     tables = []
     for b in range(size):
         table = [""] * 256
         block_positions = positions[8 * b : 8 * b + 8]
         for value in set(data[b::size]):
-            table[value] = ",".join(compress(block_positions, selectors[value]))
+            table[value] = ",".join(compress(block_positions, _SELECTORS[value]))
         tables.append(table)
     rows = (data[i : i + size] for i in range(0, len(data), size))
     return (",".join(filter(None, map(getitem, tables, row))) or "-" for row in rows)
+
+
+def _packed(rows: Sequence[int], size: int) -> bytes:
+    """The rows as size little-endian bytes each, concatenated in row order."""
+    return b"".join(map(int.to_bytes, rows, repeat(size), repeat("little")))
 
 
 def _byte_columns(rows: Sequence[int], width: int) -> list[bytes]:
     """The rows transposed at byte granularity, one bytes per byte block.
 
     Entry b holds byte b (bits 8b..8b+7) of every row, in row order; it is
-    one strided slice of the rows' concatenated little-endian bytes.  All
-    rows must fit in width bits.
+    one strided slice of the rows' packed bytes.  All rows must fit in
+    width bits.
     """
     size = (width + 7) // 8
-    data = b"".join(row.to_bytes(size, "little") for row in rows)
+    data = _packed(rows, size)
     return [data[b::size] for b in range(size)]
 
 
@@ -282,9 +287,11 @@ class Embedding(Frozen):
     def __init__(self, m: int, masks: tuple[int, ...]) -> None:
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "masks", masks)
-        for j, bits in enumerate(self.masks):
-            if bits < 0 or bits >> self.m:
-                raise ValueError(f"image {j} does not fit ground set [{self.m}]")
+        # accept in C; the loop only names the first image out of range
+        if self.masks and (min(self.masks) < 0 or max(self.masks) >> self.m):
+            for j, bits in enumerate(self.masks):
+                if bits < 0 or bits >> self.m:
+                    raise ValueError(f"image {j} does not fit ground set [{self.m}]")
 
     @property
     def n(self) -> int:
@@ -338,13 +345,21 @@ class Poset(Frozen):
         if len(succ) != n:
             raise ValueError("need exactly one successor mask per element")
         full = (1 << n) - 1
-        for u, row in enumerate(succ):
-            if row < 0 or row & ~full:
-                raise ValueError(f"row {u} mentions elements outside range")
-            if (row >> u) & 1:
-                raise ValueError(f"irreflexivity violated at element {u}")
-        # the picks are exact only once every row is known irreflexive
-        for u in range(n):
+        # accept in C: every row within [0, full], no row u holding bit u;
+        # the loop only names the first offender
+        if n and (
+            min(succ) < 0
+            or max(succ) > full
+            or any(map(and_, map(rshift, succ, range(n)), repeat(1)))
+        ):
+            for u, row in enumerate(succ):
+                if row < 0 or row & ~full:
+                    raise ValueError(f"row {u} mentions elements outside range")
+                if (row >> u) & 1:
+                    raise ValueError(f"irreflexivity violated at element {u}")
+        # the picks are exact only once every row is known irreflexive; an
+        # empty row has none
+        for u in compress(range(n), succ):
             _picks_union(succ, u)
 
     @classmethod
@@ -425,13 +440,14 @@ def transitive_closure(n: int, direct: Sequence[int]) -> list[int]:
     Each stack entry carries the reach gathered so far for its element:
     a child already finished is ORed in when its arc is taken, and a child
     finished later ORs its reach into its parent's entry when it is
-    popped, so every arc is visited once.  Raises CycleError on the first
-    back edge, i.e. as soon as the closure would force some u strictly
-    below itself.
+    popped, so every arc is visited once.  An element without direct
+    successors is finished when first reached, with no push or pop, and
+    is never a root.  Raises CycleError on the first back edge, i.e. as
+    soon as the closure would force some u strictly below itself.
     """
     reach = [0] * n
     state = bytearray(n)  # 0 unvisited, 1 on the DFS stack, 2 finished
-    for root in range(n):
+    for root in compress(range(n), direct):
         if state[root]:
             continue
         state[root] = 1
@@ -445,6 +461,10 @@ def transitive_closure(n: int, direct: Sequence[int]) -> list[int]:
                     raise CycleError(f"cycle through element {v}")
                 if state[v] == 2:
                     stack[-1] = (u, pending ^ lsb, row | reach[v])
+                elif not direct[v]:
+                    # finished on arrival: its reach stays 0, nothing to OR in
+                    stack[-1] = (u, pending ^ lsb, row)
+                    state[v] = 2
                 else:
                     stack[-1] = (u, pending ^ lsb, row)
                     state[v] = 1
@@ -483,9 +503,12 @@ def check_embedding(p: Poset, emb: Embedding) -> EmbeddingCheck:
     accumulator.  After the last block, bit v of u's accumulator is set iff
     image(u) lies within image(v), and it must equal succ[u] | 1 << u.  The
     walk stops at w, the top bit of the images: a block above it holds
-    only zero bytes, and table[0] is the full mask, so it changes no row.
-    That is about n*w/8 + 32*w big-int operations on n-bit ints, instead
-    of n*n Python steps; w is about 2n/3 on the label branch.
+    only zero bytes, and table[0] is the full mask, so it changes no row;
+    for the same reason a zero byte below w is skipped, not folded.  That
+    is about n*w/8 + 32*w big-int operations on n-bit ints, instead of n*n
+    Python steps; w is about 2n/3 on the label branch.  The duplicate
+    test and the final comparison run in C, and a loop runs only to name
+    the witness.
 
     Injectivity follows from antisymmetry: equal images are contained
     both ways, which the order allows for no two distinct elements.
@@ -494,11 +517,12 @@ def check_embedding(p: Poset, emb: Embedding) -> EmbeddingCheck:
     """
     if emb.n != p.n:
         raise SizeMismatchError(f"embedding has {emb.n} images for {p.n} elements")
-    seen: dict[int, int] = {}
-    for j, bits in enumerate(emb.masks):
-        if bits in seen:
-            return EmbeddingCheck(False, (seen[bits], j), "duplicate images")
-        seen[bits] = j
+    if len(set(emb.masks)) != p.n:
+        seen: dict[int, int] = {}
+        for j, bits in enumerate(emb.masks):
+            if bits in seen:
+                return EmbeddingCheck(False, (seen[bits], j), "duplicate images")
+            seen[bits] = j
     full = (1 << p.n) - 1
     inside = [full] * p.n  # bit v of inside[u]: image(u) within image(v)
     swaps = _tile_swaps(p.n)
@@ -506,9 +530,12 @@ def check_embedding(p: Poset, emb: Embedding) -> EmbeddingCheck:
         table = [full]
         for column in _block_columns(block, swaps):
             table += [t & column for t in table]
-        inside = [row & table[x] for row, x in zip(inside, block)]
+        inside = [row & table[x] if x else row for row, x in zip(inside, block)]
+    expected = list(map(or_, p.succ, map(lshift, repeat(1), range(p.n))))
+    if inside == expected:
+        return EmbeddingCheck(True)
     for u, row in enumerate(inside):
-        wrong = row ^ (p.succ[u] | 1 << u)
+        wrong = row ^ expected[u]
         if wrong:
             v = (wrong & -wrong).bit_length() - 1
             reason = "containment without order" if row >> v & 1 else "order without containment"
@@ -550,13 +577,26 @@ def write_poset(p: Poset) -> str:
     return "\n".join(lines)
 
 
+def parse_int(digits: str, line: str) -> int:
+    """int(digits) for a run of decimal digits from the given line of a file.
+
+    int refuses a string over the interpreter's digit limit (4300 by
+    default) with ValueError; that becomes a FormatError naming the line.
+    """
+    try:
+        return int(digits)
+    except ValueError:
+        raise FormatError(f"number too long in line starting {line[:40]!r}") from None
+
+
 def parse_poset(text: str) -> Poset:
     """Parse the poset text format; '#' starts a comment, blank lines skipped.
 
     Lines are stripped, and the pairs taken by one findall over the body,
     without a Python step per line.  A line that is no pair leaves the
     findall short of one pair per line, and only then is the body matched
-    line by line, to name the first bad line.
+    line by line, to name the first bad line.  A number too long for int
+    (see parse_int) is also named by its line.
     """
     lines = text.splitlines()
     if "#" in text:
@@ -578,8 +618,11 @@ def parse_poset(text: str) -> Poset:
             match = _PAIR_RE.match(line)
             if not match:
                 raise FormatError(f"expected 'u < v', got {line!r}")
-            found.append(match.groups())
-    ends = list(map(int, chain.from_iterable(found)))
+            found.append([parse_int(digits, line) for digits in match.groups()])
+    try:
+        ends = list(map(int, chain.from_iterable(found)))
+    except ValueError:  # only a number too long for int; name its line
+        ends = [parse_int(digits, line) for line, pair in zip(body, found) for digits in pair]
     try:
         return Poset.from_relations(n, zip(ends[::2], ends[1::2]))
     except ValueError as exc:

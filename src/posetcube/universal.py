@@ -42,6 +42,7 @@ from .poset import (
     folklore_embed,
     mask_from_text,
     masks_to_text,
+    parse_int,
 )
 
 BRANCH_CHAIN = "chain-cover"
@@ -228,7 +229,7 @@ def parse_embedding(text: str) -> Embedding:
     header = _HEADER_RE.match(lines[0])
     if not header:
         raise FormatError(f"bad embedding header {lines[0]!r}")
-    n, m = int(header.group(1)), int(header.group(2))
+    n, m = parse_int(header.group(1), lines[0]), parse_int(header.group(2), lines[0])
     if max(n, m) > MAX_ELEMENTS:
         raise FormatError(f"header n={n} m={m} exceeds {MAX_ELEMENTS}")
     body = lines[1:]
@@ -237,7 +238,7 @@ def parse_embedding(text: str) -> Embedding:
     masks = []
     for j, line in enumerate(body):
         match = _IMAGE_RE.match(line)
-        if not match or int(match.group(1)) != j:
+        if not match or parse_int(match.group(1), line) != j:
             raise FormatError(f"expected image line for element {j}, got {line!r}")
         masks.append(mask_from_text(match.group(2), m))
     try:

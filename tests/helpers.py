@@ -377,7 +377,10 @@ def parse_poset_reference(text: str) -> Poset:
         match = _PAIR_LINE.match(line)
         if not match:
             raise FormatError(f"expected 'u < v', got {line!r}")
-        pairs.append((int(match.group(1)), int(match.group(2))))
+        try:
+            pairs.append((int(match.group(1)), int(match.group(2))))
+        except ValueError:  # over the interpreter's int-string digit limit
+            raise FormatError(f"number too long in line starting {line[:40]!r}") from None
     try:
         return Poset.from_relations(n, pairs)
     except ValueError as exc:
@@ -426,6 +429,8 @@ def validate_chains_reference(p: Poset, chains) -> None:
     seen = 0
     for chain in chains:
         for u in chain:
+            if not 0 <= u < p.n:
+                raise ValueError(f"element {u} outside poset range")
             if (seen >> u) & 1:
                 raise ValueError(f"element {u} appears in two chains")
             seen |= 1 << u

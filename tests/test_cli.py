@@ -115,6 +115,13 @@ class TestEmbedCommand:
         assert main(["embed", "--in", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_number_over_the_int_digit_limit_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "long.poset"
+        path.write_text("3\n0 < " + "9" * 5000 + "\n")
+        assert main(["embed", "--in", str(path)]) == 1
+        shown = "0 < " + "9" * 36  # the first 40 characters of the line
+        assert capsys.readouterr().err == f"error: number too long in line starting {shown!r}\n"
+
     def test_malformed_file_exits_one(self, tmp_path):
         path = tmp_path / "bad.poset"
         path.write_text("not a poset\n")

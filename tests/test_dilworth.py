@@ -116,6 +116,29 @@ class TestMatchingMaximality:
         assert mates == hopcroft_karp_reference(p.n, p.succ)
         assert max_antichain(p) == konig_antichain_reference(p.n, p.succ, *mates)
 
+    # posets made mostly of elements without a successor, which the
+    # matching leaves out of every frontier and root scan
+    SINK_HEAVY = {
+        "antichain": Poset.antichain(60),
+        "star": Poset.from_relations(60, [(0, v) for v in range(1, 60)]),
+        "stars": Poset.from_relations(60, [(u, v) for u in range(4) for v in range(4, 60)]),
+        "inverted-star": Poset.from_relations(60, [(u, 59) for u in range(59)]),
+        "isolated-and-a-chain": Poset.from_relations(60, [(u, u + 7) for u in range(30, 53, 7)]),
+        "isolated-and-sparse": Poset.from_relations(
+            80, [(u, v) for u in range(0, 80, 9) for v in range(u + 1, 80, 13)]
+        ),
+        "fence-with-isolated": Poset.from_relations(
+            40, [(u, v) for u in range(0, 20, 2) for v in (u + 1, u - 1) if 0 <= v < 20]
+        ),
+    }
+
+    @pytest.mark.parametrize("p", list(SINK_HEAVY.values()), ids=list(SINK_HEAVY))
+    def test_same_mates_on_sink_heavy_posets(self, p):
+        mates = _hopcroft_karp(p.n, p.succ)
+        assert mates == hopcroft_karp_reference(p.n, p.succ)
+        assert max_antichain(p) == konig_antichain_reference(p.n, p.succ, *mates)
+        assert len(max_antichain(p)) == min_chain_decomposition(p).width
+
     def test_augmenting_path_through_every_element(self):
         # the recursive search would nest 1200 calls deep here
         p = fence_poset(1200)

@@ -73,6 +73,19 @@ def assert_same_verdict(p: Poset, emb: Embedding) -> None:
         assert witness_rejected(p, emb, *verdict.witness)
 
 
+def assert_every_flip_agrees(p: Poset, emb: Embedding) -> None:
+    """assert_same_verdict on every one-bit flip of every image of emb."""
+    rejected = 0
+    for j in range(p.n):
+        for bit in range(emb.m):
+            masks = list(emb.masks)
+            masks[j] ^= 1 << bit
+            flipped = Embedding(emb.m, tuple(masks))
+            assert_same_verdict(p, flipped)
+            rejected += not check_embedding(p, flipped).ok
+    assert rejected  # a certificate that survives every flip checks nothing
+
+
 class TestVerifier:
     @pytest.mark.parametrize(
         "p, emb",
@@ -114,16 +127,12 @@ class TestVerifier:
     @pytest.mark.parametrize("n, seed", [(6, 0), (9, 1), (13, 2), (17, 3), (24, 4)])
     def test_every_one_bit_flip_of_a_label_certificate(self, n, seed):
         p, antichain = planted_poset(n, seed)
-        emb = embed_with_antichain(p, antichain)
-        rejected = 0
-        for j in range(n):
-            for bit in range(emb.m):
-                masks = list(emb.masks)
-                masks[j] ^= 1 << bit
-                flipped = Embedding(emb.m, tuple(masks))
-                assert_same_verdict(p, flipped)
-                rejected += not check_embedding(p, flipped).ok
-        assert rejected  # a certificate that survives every flip checks nothing
+        assert_every_flip_agrees(p, embed_with_antichain(p, antichain))
+
+    @pytest.mark.parametrize("n, seed", [(6, 0), (9, 1), (13, 2), (17, 3), (24, 4)])
+    def test_every_one_bit_flip_of_a_chain_cover_certificate(self, n, seed):
+        p = random_poset(n, 0.3, seed)
+        assert_every_flip_agrees(p, certificate(p, "chain-cover"))
 
     @pytest.mark.parametrize("n, seed", [(13, 2), (17, 3), (24, 4), (30, 5), (40, 6)])
     def test_every_one_bit_flip_on_the_padded_ground_set(self, n, seed):
@@ -145,6 +154,82 @@ class TestVerifier:
                     rejected_above_top += not check_embedding(p, flipped).ok
         # a walk that stopped below a flipped bit would accept these
         assert rejected_above_top
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(64, 200),
+        st.integers(0, 2**32),
+        st.integers(0, 3),
+        st.randoms(use_true_random=False),
+    )
+    def test_sparse_label_certificates(self, n, seed, flips, rng):
+        # embed_with_branch's label shape on the benchmark's sparse posets:
+        # images within about 2n/3 of the ground set [n], mostly zero
+        # bytes, which the fold skips
+        p = random_poset(n, 3 / n, seed)
+        antichain = sorted(min_chain_decomposition(p).antichain)[: -(-n // 3)]
+        emb = Embedding(n, embed_with_antichain(p, antichain).masks)
+        assert_same_verdict(p, emb)
+        masks = list(emb.masks)
+        for _ in range(flips):
+            masks[rng.randrange(n)] ^= 1 << rng.randrange(n)
+        assert_same_verdict(p, Embedding(n, tuple(masks)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(2, 70),
+        st.floats(0.0, 1.0),
+        st.integers(0, 2**32),
+        st.sampled_from(KINDS),
+        st.integers(1, 3),
+        st.randoms(use_true_random=False),
+    )
+    def test_duplicate_images_anywhere(self, n, prob, seed, kind, copies, rng):
+        p = random_poset(n, prob ** 3, seed)
+        emb = certificate(p, kind)
+        if emb is None:
+            return
+        masks = list(emb.masks)
+        for _ in range(copies):  # first and last positions included
+            i, j = rng.sample((0, n - 1, rng.randrange(n), rng.randrange(n)), 2)
+            masks[j] = masks[i]
+        assert_same_verdict(p, Embedding(emb.m, tuple(masks)))
+
+
+class TestEmbeddingRange:
+    # Embedding accepts with min and max; the loop only names the image
+
+    @pytest.mark.parametrize("bad", [-1, -(1 << 70), 1 << 9, (1 << 70) | 1])
+    @pytest.mark.parametrize("j", [0, 5])
+    def test_first_and_last_index(self, bad, j):
+        masks = [1, 2, 0, 511, 3, 4]
+        masks[j] = bad
+        with pytest.raises(ValueError) as info:
+            Embedding(9, tuple(masks))
+        assert str(info.value) == f"image {j} does not fit ground set [9]"
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 70),
+        st.integers(1, 70),
+        st.lists(st.sampled_from(("negative", "wide")), max_size=3),
+        st.randoms(use_true_random=False),
+    )
+    def test_names_the_first_bad_image(self, m, count, faults, rng):
+        masks = [rng.getrandbits(m) for _ in range(count)]
+        assert Embedding(m, tuple(masks)).masks == tuple(masks)
+        spoiled = []
+        for fault in faults:
+            j = rng.choice((0, count - 1, rng.randrange(count)))
+            if fault == "negative":
+                masks[j] = -1 - rng.getrandbits(m)
+            else:
+                masks[j] |= 1 << (m + rng.randrange(3))
+            spoiled.append(j)
+        if spoiled:
+            with pytest.raises(ValueError) as info:
+                Embedding(m, tuple(masks))
+            assert str(info.value) == f"image {min(spoiled)} does not fit ground set [{m}]"
 
 
 class TestLabels:
@@ -399,6 +484,38 @@ class TestValidator:
     def test_rejects_out_of_range_rows(self):
         for succ in ((0b100, 0), (-1, 0)):
             assert rejection(Poset, 2, succ) == rejection(validate_pairwise, 2, succ)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 70),
+        st.floats(0.0, 1.0),
+        st.integers(0, 2**32),
+        st.lists(st.sampled_from(("negative", "outside", "reflexive")), min_size=1, max_size=3),
+        st.randoms(use_true_random=False),
+    )
+    def test_bad_rows_named_like_the_row_loop(self, n, prob, seed, faults, rng):
+        # Poset accepts the rows with min, max and one map; the row loop it
+        # bypasses names the first row out of range or holding its own bit
+        succ = list(random_poset(n, prob ** 2, seed).succ)
+        spoiled = set()
+        for fault in faults:
+            u = rng.choice((0, n - 1, rng.randrange(n)))
+            if fault == "negative":
+                succ[u] = -1 - rng.getrandbits(n + 1)
+            elif fault == "outside":
+                succ[u] |= 1 << (n + rng.randrange(3))
+            else:
+                succ[u] |= 1 << u
+            spoiled.add(u)
+        # the rows left alone are in range and irreflexive; a row given
+        # two faults fails the range test first
+        first = min(spoiled)
+        if 0 <= succ[first] < 1 << n:
+            expected = f"irreflexivity violated at element {first}"
+        else:
+            expected = f"row {first} mentions elements outside range"
+        assert rejection(Poset, n, tuple(succ)) == expected
+        assert rejection(validate_pairwise, n, tuple(succ)) is not None
 
 
 class TestCovers:

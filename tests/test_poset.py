@@ -26,6 +26,7 @@ from helpers import (
     enumerate_posets,
     enumerate_posets_filter,
     max_antichain_bruteforce,
+    parse_poset_reference,
 )
 
 V_POSET = Poset.from_relations(4, [(0, 1), (0, 2), (1, 3)])
@@ -247,6 +248,24 @@ class TestPosetFormat:
     def test_cycle_in_file(self):
         with pytest.raises(CycleError):
             parse_poset("2\n0 < 1\n1 < 0\n")
+
+    @pytest.mark.parametrize(
+        "head, bad, tail",
+        [
+            ("3\n", "0 < " + "9" * 5000, ""),
+            ("3\n0 < 1\n", "0" * 5000 + "2 < 1", ""),  # leading zeros count too
+            ("3\n", "1 < " + "9" * 5000, "0 <\n"),  # the first bad line is named
+        ],
+        ids=["pair", "leading-zeros", "before-a-malformed-line"],
+    )
+    def test_number_over_the_int_digit_limit_names_its_line(self, head, bad, tail):
+        # int() refuses strings over 4300 digits with a bare ValueError
+        text = head + bad + "\n" + tail
+        expected = f"number too long in line starting {bad[:40]!r}"
+        for parse in (parse_poset, parse_poset_reference):
+            with pytest.raises(FormatError) as info:
+                parse(text)
+            assert str(info.value) == expected
 
 
 class TestHeaderBound:

@@ -170,6 +170,45 @@ class TestClosure:
             transitive_closure_reference, n, direct
         )
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 60),
+        st.integers(1, 8),
+        st.floats(0, 1),
+        st.integers(0, 3),
+        st.integers(0, 2**32),
+    )
+    def test_leaf_heavy_equals_reference(self, n, inner, q, back_arcs, seed):
+        # only `inner` elements have arcs; every other element is a leaf,
+        # finished on arrival without a push.  Back arcs among the inner
+        # elements close cycles that pass next to leaves.
+        rng = random.Random(seed)
+        inner_elements = rng.sample(range(n), min(inner, n))
+        direct = [0] * n
+        for u in inner_elements:
+            for v in range(n):
+                if v != u and rng.random() < q:
+                    direct[u] |= 1 << v
+        for _ in range(back_arcs if len(inner_elements) > 1 else 0):
+            u, v = rng.sample(inner_elements, 2)
+            direct[u] |= 1 << v
+        assert closure_outcome(transitive_closure, n, direct) == closure_outcome(
+            transitive_closure_reference, n, direct
+        )
+
+    @pytest.mark.parametrize(
+        "direct, outcome",
+        [
+            ([0b1110, 0, 0, 0], [0b1110, 0, 0, 0]),  # a star of leaves
+            ([0b0110, 0b1001, 0, 0], "cycle through element 0"),  # a leaf on each side
+            ([0b0010, 0b1100, 0, 0b0001], "cycle through element 0"),
+            ([0, 0b100, 0b001, 0], [0, 0b101, 0b001, 0]),  # leaf 0 reached twice
+        ],
+    )
+    def test_leaves_next_to_cycles(self, direct, outcome):
+        assert closure_outcome(transitive_closure, len(direct), direct) == outcome
+        assert closure_outcome(transitive_closure_reference, len(direct), direct) == outcome
+
     def test_long_path(self):
         n = 3000  # deeper than the recursion limit, one arc per element
         direct = [1 << (u + 1) for u in range(n - 1)] + [0]
@@ -240,7 +279,10 @@ class TestChainAccept:
         st.floats(0, 1),
         st.integers(0, 2**32),
         st.sampled_from(
-            ("none", "swap", "drop", "duplicate", "replace", "reverse", "move", "outside")
+            (
+                "none", "swap", "drop", "duplicate", "replace",
+                "reverse", "move", "outside", "negative",
+            )
         ),
         st.randoms(use_true_random=False),
     )
@@ -267,8 +309,21 @@ class TestChainAccept:
             chains.append([chains[i].pop(k)])
         elif fault == "outside":
             chains.append([n + rng.randrange(3)])
+        elif fault == "negative" and flat:  # inserted before or after an element
+            i, k = rng.choice(flat)
+            chains[i].insert(k + rng.randrange(2), -1 - rng.randrange(3))
         chains = tuple(tuple(c) for c in chains)
         assert raised(ChainDecomposition, p, chains) == raised(validate_chains_reference, p, chains)
+
+    @pytest.mark.parametrize(
+        "chains, u",
+        [(((2, 1), (0,)), 2), (((-1, 1), (0,)), -1), (((0,), (1,), (5,)), 5), (((1,), (0, 7)), 7)],
+    )
+    def test_element_outside_range_is_named(self, chains, u):
+        expected = (ValueError, f"element {u} outside poset range")
+        p = Poset(2, (2, 0))
+        assert raised(ChainDecomposition, p, chains) == expected
+        assert raised(validate_chains_reference, p, chains) == expected
 
 
 def raised(check, *args):

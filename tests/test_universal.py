@@ -355,3 +355,19 @@ class TestEmbeddingFormat:
     def test_element_outside_ground_set(self):
         with pytest.raises(FormatError):
             parse_embedding("n=1 m=2\n0: 3\n")
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("n={big} m=2\n", "n={big} m=2"),
+            ("n=1 m={big}\n0: 1\n", "n=1 m={big}"),
+            ("n=1 m=2\n{big}: 1\n", "{big}: 1"),
+        ],
+        ids=["element-count", "ground-size", "image-index"],
+    )
+    def test_number_over_the_int_digit_limit_names_its_line(self, text, line):
+        # int() refuses strings over 4300 digits with a bare ValueError
+        big = "9" * 5000
+        with pytest.raises(FormatError) as info:
+            parse_embedding(text.format(big=big))
+        assert str(info.value) == f"number too long in line starting {line.format(big=big)[:40]!r}"

@@ -171,6 +171,7 @@ INVALID = {
     "ChainDecomposition-12": (ChainDecomposition, (CHAIN2, ((0, 1), (1,))), "element 1 appears in two chains"),
     "ChainDecomposition-13": (ChainDecomposition, (CHAIN2, ((1, 0),)), "chain pair (1, 0) not ordered"),
     "ChainDecomposition-14": (ChainDecomposition, (CHAIN2, ((0,),)), "chains do not cover every element"),
+    "ChainDecomposition-outside poset range": (ChainDecomposition, (CHAIN2, ((0, 1), (2,))), "element 2 outside poset range"),
     "AntichainSplit-15": (AntichainSplit, ((0,), (0, 1), (), 2, (2, 4)), "blocks overlap"),
     "AntichainSplit-16": (AntichainSplit, ((0,), (1, 2), (), 2, (2,)), "one label per antichain element required"),
     "AntichainSplit-17": (AntichainSplit, ((0,), (1, 2), (), 2, (2, 2)), "label sets must be distinct"),
