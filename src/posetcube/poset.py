@@ -15,7 +15,7 @@ import threading
 from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property
 from itertools import chain, compress, repeat
-from operator import and_, getitem, lshift, or_, rshift
+from operator import and_, getitem, rshift
 
 from .errors import CycleError, FormatError, SizeMismatchError
 
@@ -287,11 +287,9 @@ class Embedding(Frozen):
     def __init__(self, m: int, masks: tuple[int, ...]) -> None:
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "masks", masks)
-        # accept in C; the loop only names the first image out of range
-        if self.masks and (min(self.masks) < 0 or max(self.masks) >> self.m):
-            for j, bits in enumerate(self.masks):
-                if bits < 0 or bits >> self.m:
-                    raise ValueError(f"image {j} does not fit ground set [{self.m}]")
+        for j, bits in enumerate(self.masks):
+            if bits < 0 or bits >> self.m:
+                raise ValueError(f"image {j} does not fit ground set [{self.m}]")
 
     @property
     def n(self) -> int:
@@ -440,14 +438,13 @@ def transitive_closure(n: int, direct: Sequence[int]) -> list[int]:
     Each stack entry carries the reach gathered so far for its element:
     a child already finished is ORed in when its arc is taken, and a child
     finished later ORs its reach into its parent's entry when it is
-    popped, so every arc is visited once.  An element without direct
-    successors is finished when first reached, with no push or pop, and
-    is never a root.  Raises CycleError on the first back edge, i.e. as
-    soon as the closure would force some u strictly below itself.
+    popped, so every arc is visited once.  Raises CycleError on the first
+    back edge, i.e. as soon as the closure would force some u strictly
+    below itself.
     """
     reach = [0] * n
     state = bytearray(n)  # 0 unvisited, 1 on the DFS stack, 2 finished
-    for root in compress(range(n), direct):
+    for root in range(n):
         if state[root]:
             continue
         state[root] = 1
@@ -461,10 +458,6 @@ def transitive_closure(n: int, direct: Sequence[int]) -> list[int]:
                     raise CycleError(f"cycle through element {v}")
                 if state[v] == 2:
                     stack[-1] = (u, pending ^ lsb, row | reach[v])
-                elif not direct[v]:
-                    # finished on arrival: its reach stays 0, nothing to OR in
-                    stack[-1] = (u, pending ^ lsb, row)
-                    state[v] = 2
                 else:
                     stack[-1] = (u, pending ^ lsb, row)
                     state[v] = 1
@@ -506,9 +499,7 @@ def check_embedding(p: Poset, emb: Embedding) -> EmbeddingCheck:
     only zero bytes, and table[0] is the full mask, so it changes no row;
     for the same reason a zero byte below w is skipped, not folded.  That
     is about n*w/8 + 32*w big-int operations on n-bit ints, instead of n*n
-    Python steps; w is about 2n/3 on the label branch.  The duplicate
-    test and the final comparison run in C, and a loop runs only to name
-    the witness.
+    Python steps; w is about 2n/3 on the label branch.
 
     Injectivity follows from antisymmetry: equal images are contained
     both ways, which the order allows for no two distinct elements.
@@ -517,12 +508,11 @@ def check_embedding(p: Poset, emb: Embedding) -> EmbeddingCheck:
     """
     if emb.n != p.n:
         raise SizeMismatchError(f"embedding has {emb.n} images for {p.n} elements")
-    if len(set(emb.masks)) != p.n:
-        seen: dict[int, int] = {}
-        for j, bits in enumerate(emb.masks):
-            if bits in seen:
-                return EmbeddingCheck(False, (seen[bits], j), "duplicate images")
-            seen[bits] = j
+    seen: dict[int, int] = {}
+    for j, bits in enumerate(emb.masks):
+        if bits in seen:
+            return EmbeddingCheck(False, (seen[bits], j), "duplicate images")
+        seen[bits] = j
     full = (1 << p.n) - 1
     inside = [full] * p.n  # bit v of inside[u]: image(u) within image(v)
     swaps = _tile_swaps(p.n)
@@ -531,11 +521,8 @@ def check_embedding(p: Poset, emb: Embedding) -> EmbeddingCheck:
         for column in _block_columns(block, swaps):
             table += [t & column for t in table]
         inside = [row & table[x] if x else row for row, x in zip(inside, block)]
-    expected = list(map(or_, p.succ, map(lshift, repeat(1), range(p.n))))
-    if inside == expected:
-        return EmbeddingCheck(True)
     for u, row in enumerate(inside):
-        wrong = row ^ expected[u]
+        wrong = row ^ (p.succ[u] | 1 << u)
         if wrong:
             v = (wrong & -wrong).bit_length() - 1
             reason = "containment without order" if row >> v & 1 else "order without containment"
@@ -593,10 +580,10 @@ def parse_poset(text: str) -> Poset:
     """Parse the poset text format; '#' starts a comment, blank lines skipped.
 
     Lines are stripped, and the pairs taken by one findall over the body,
-    without a Python step per line.  A line that is no pair leaves the
-    findall short of one pair per line, and only then is the body matched
-    line by line, to name the first bad line.  A number too long for int
-    (see parse_int) is also named by its line.
+    without a Python step per line.  Only when a line is no pair (the
+    findall comes up short of one pair per line) or a number is too long
+    for int (see parse_int) is the body matched line by line, to name the
+    first bad line.
     """
     lines = text.splitlines()
     if "#" in text:
@@ -612,17 +599,17 @@ def parse_poset(text: str) -> Poset:
         raise FormatError(f"element count {n} outside [0, {MAX_ELEMENTS}]")
     body = lines[1:]
     found = _PAIR_RE.findall("\n".join(body))
-    if len(found) != len(body):
-        found = []
+    try:
+        ends = list(map(int, chain.from_iterable(found))) if len(found) == len(body) else None
+    except ValueError:  # a number too long for int
+        ends = None
+    if ends is None:
+        ends = []
         for line in body:
             match = _PAIR_RE.match(line)
             if not match:
                 raise FormatError(f"expected 'u < v', got {line!r}")
-            found.append([parse_int(digits, line) for digits in match.groups()])
-    try:
-        ends = list(map(int, chain.from_iterable(found)))
-    except ValueError:  # only a number too long for int; name its line
-        ends = [parse_int(digits, line) for line, pair in zip(body, found) for digits in pair]
+            ends += [parse_int(digits, line) for digits in match.groups()]
     try:
         return Poset.from_relations(n, zip(ends[::2], ends[1::2]))
     except ValueError as exc:

@@ -197,7 +197,7 @@ class TestVerifier:
 
 
 class TestEmbeddingRange:
-    # Embedding accepts with min and max; the loop only names the image
+    # Embedding names the first image out of range, wherever it sits
 
     @pytest.mark.parametrize("bad", [-1, -(1 << 70), 1 << 9, (1 << 70) | 1])
     @pytest.mark.parametrize("j", [0, 5])

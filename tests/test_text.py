@@ -179,9 +179,9 @@ class TestClosure:
         st.integers(0, 2**32),
     )
     def test_leaf_heavy_equals_reference(self, n, inner, q, back_arcs, seed):
-        # only `inner` elements have arcs; every other element is a leaf,
-        # finished on arrival without a push.  Back arcs among the inner
-        # elements close cycles that pass next to leaves.
+        # only `inner` elements have arcs; every other element is a leaf.
+        # Back arcs among the inner elements close cycles that pass next
+        # to leaves.
         rng = random.Random(seed)
         inner_elements = rng.sample(range(n), min(inner, n))
         direct = [0] * n
