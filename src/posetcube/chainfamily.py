@@ -244,12 +244,12 @@ def parse_family(text: str) -> SetFamily:
         raise FormatError("empty family file")
     header = lines[0].split()
     if len(header) != 2 or not header[0].startswith("m=") or not header[1].startswith("count="):
-        raise FormatError(f"bad family header {lines[0]!r}")
+        raise FormatError(f"bad family header {lines[0][:40]!r}")
     try:
         m = int(header[0][2:])
         count = int(header[1][6:])
     except ValueError:
-        raise FormatError(f"bad family header {lines[0]!r}") from None
+        raise FormatError(f"bad family header {lines[0][:40]!r}") from None
     if not 0 <= m <= MAX_ELEMENTS:
         raise FormatError(f"ground set size {m} outside [0, {MAX_ELEMENTS}]")
     body = lines[1:]

@@ -7,23 +7,28 @@ size) chains, which is optimal; the dual vertex cover yields a maximum
 antichain of exactly that many elements.  The chains determine the
 matching, so one matching per poset gives both (Fulkerson 1956).
 
-Matching is Hopcroft-Karp on bitmask rows.  An element with no successor
-has no edge on the left, so only the others enter frontiers and root
-scans, and a free root with no candidate is skipped: it is no one's
-mate, so its dead end would change nothing.  Each phase builds its BFS
-layers from whole frontiers: the union of succ[u] over one layer, minus
-the right vertices already seen, is the next layer of right vertices, so
-every right vertex is touched once per phase.  The augmenting search is
-an iterative DFS, so path length is bounded by memory, not by the
+Matching is Hopcroft-Karp on bitmask rows.  Each phase's BFS starts
+from the roots, the free left vertices with a successor, at depth 0
+(an element with no successor has no edge on the left).  layer[d] holds
+the matched right vertices whose mate sits at depth d; one bit loop over
+a layer ORs the rows of those mates, and what it reaches, minus the right
+vertices already seen, gives the next layer, so every right vertex is
+touched once per phase.  The augmenting search is an iterative DFS from
+each root in turn, so path length is bounded by memory, not by the
 interpreter's recursion limit.  It takes the candidates of u, lowest
-first, from succ[u] restricted to free right vertices and to those
-whose mate lies one layer deeper, and re-checks that layer when a
-candidate is taken, because dead ends leave the layer masks stale.  In
-the first phase no right vertex is matched, so every augmenting path is
-one edge; it runs as a plain greedy loop, each u in ascending order
-taking its lowest free successor, as the search would.  The mate
-arrays, and so the chains, are the same as a recursive DFS over succ[u]
-in ascending order gives.
+first, from succ[u] restricted to free right vertices and to the next
+layer.  The layers stay exact: a dead end takes its mate out of its
+layer for the rest of the phase, and an augmentation moves each right
+vertex on the path to its new mate's layer, so a candidate's mate always
+sits one layer deeper and no depth array is needed.  A candidate whose
+mate has no candidate of its own is a dead end at once; it is retired
+where it stands, without a push.  A phase whose BFS reached a free right
+vertex always augments; one that does not raises VerificationError
+rather than loop.  In the first phase no right vertex is matched, so
+every augmenting path is one edge; it runs as a plain greedy loop, each
+u in ascending order taking its lowest free successor, as the search
+would.  The mate arrays, and so the chains, are the same as a recursive
+DFS over succ[u] in ascending order gives.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from functools import cached_property
 from itertools import chain as iter_chain, compress, repeat
 from operator import and_, rshift
 
-from .errors import InfeasibleError
+from .errors import InfeasibleError, VerificationError
 from .poset import Frozen, Poset, bit_indices
 
 NO_MATE = -1
@@ -96,24 +101,26 @@ class ChainDecomposition(Frozen):
         """
         succ = self.poset.succ
         mate_right = [NO_MATE] * self.poset.n
-        frontier = 0
+        reach_left = new_right = 0
         for chain in self.chains:
             for u, v in zip(chain, chain[1:]):
                 mate_right[v] = u
-            frontier |= 1 << chain[-1]
-        reach_left = frontier
+            reach_left |= 1 << chain[-1]
+            new_right |= succ[chain[-1]]
         reach_right = 0
-        while frontier:
-            new_right = 0
-            for u in bit_indices(frontier):
-                new_right |= succ[u]
-            new_right &= ~reach_right
+        # one bit loop per layer: each right vertex reached for the first
+        # time passes the reach on to its mate
+        while new_right:
             reach_right |= new_right
-            frontier = 0
-            for v in bit_indices(new_right):
-                if mate_right[v] != NO_MATE:
-                    frontier |= 1 << mate_right[v]
-            reach_left |= frontier
+            reach = 0
+            while new_right:
+                v = new_right.bit_length() - 1
+                new_right ^= 1 << v
+                u = mate_right[v]
+                if u != NO_MATE:
+                    reach_left |= 1 << u
+                    reach |= succ[u]
+            new_right = reach & ~reach_right
         # cover = (left not reached) + (right reached); the antichain is the rest
         return frozenset(bit_indices(reach_left & ~reach_right))
 
@@ -127,7 +134,6 @@ def _hopcroft_karp(n: int, succ: tuple[int, ...]) -> tuple[list[int], list[int]]
     """
     mate_left = [NO_MATE] * n
     mate_right = [NO_MATE] * n
-    inf = n + 1
     free_right = (1 << n) - 1
     # only an element with a successor can be matched on the left
     left = list(compress(range(n), succ))
@@ -140,51 +146,46 @@ def _hopcroft_karp(n: int, succ: tuple[int, ...]) -> tuple[list[int], list[int]]
             mate_right[v] = u
             free_right ^= lsb
     while True:
-        # BFS: dist of every left vertex reachable from a free one, and
-        # layer[d], the right vertices whose mate sits at distance d
-        dist = [inf] * n
-        frontier = [u for u in left if mate_left[u] == NO_MATE]
-        layer = [0]
-        seen_right = 0
-        while frontier:
-            depth = len(layer) - 1
+        # BFS: layer[d] holds the matched right vertices whose mate sits at
+        # depth d; the roots, the free left vertices, are depth 0
+        roots = [u for u in left if mate_left[u] == NO_MATE]
+        reach = 0
+        for u in roots:
+            reach |= succ[u]
+        seen_right = reach
+        layer = [0, reach & ~free_right]
+        while layer[-1]:
+            matched = layer[-1]
             reach = 0
-            for u in frontier:
-                dist[u] = depth
-                reach |= succ[u]
+            while matched:
+                v = matched.bit_length() - 1
+                reach |= succ[mate_right[v]]
+                matched ^= 1 << v
             reach &= ~seen_right
             seen_right |= reach
-            matched = reach & ~free_right
-            layer.append(matched)
-            frontier = [mate_right[v] for v in bit_indices(matched)]
+            layer.append(reach & ~free_right)
         if not seen_right & free_right:
             return mate_left, mate_right
-        for root in left:
-            if mate_left[root] != NO_MATE:
-                continue
-            first = succ[root] & (free_right | layer[1])
-            if not first:
-                continue
+        before = free_right
+        for root in roots:
             # path[i] is the left vertex at depth i, via[i] the right vertex
-            # that leads on from it, todo[i] its candidates not yet tried
+            # that leads on from it, todo[i] its candidates not yet tried;
+            # pending holds those of the last vertex on the path
             path = [root]
             via: list[int] = []
-            todo = [first]
-            while path:
-                u = path[-1]
-                pending = todo[-1]
+            todo: list[int] = []
+            pending = succ[root] & (free_right | layer[1])
+            while True:
                 if not pending:
-                    # dead end: u leaves its layer for the rest of the phase
-                    if mate_left[u] != NO_MATE:
-                        layer[dist[u]] &= ~(1 << mate_left[u])
-                    dist[u] = inf
+                    if not todo:
+                        break
+                    # dead end: the vertex leaves its layer for the phase
                     path.pop()
-                    todo.pop()
-                    if via:
-                        via.pop()
+                    layer[len(path)] ^= 1 << via.pop()
+                    pending = todo.pop()
                     continue
                 lsb = pending & -pending
-                todo[-1] = pending ^ lsb
+                pending ^= lsb
                 v = lsb.bit_length() - 1
                 w = mate_right[v]
                 if w == NO_MATE:
@@ -193,15 +194,20 @@ def _hopcroft_karp(n: int, succ: tuple[int, ...]) -> tuple[list[int], list[int]]
                     for depth, (x, y) in enumerate(zip(path, via)):
                         mate_left[x] = y
                         mate_right[y] = x
-                        layer[depth] |= 1 << y
-                        if depth + 1 < len(path):
-                            layer[depth + 1] &= ~(1 << y)
+                        if depth:
+                            layer[depth] ^= (1 << via[depth - 1]) | (1 << y)
                     break
-                depth = dist[u] + 1
-                if dist[w] == depth:
+                depth = len(path)
+                candidates = succ[w] & (free_right | layer[depth + 1])
+                if candidates:
                     path.append(w)
                     via.append(v)
-                    todo.append(succ[w] & (free_right | layer[depth + 1]))
+                    todo.append(pending)
+                    pending = candidates
+                else:
+                    layer[depth] ^= lsb  # a leaf dead end, retired unpushed
+        if free_right == before:
+            raise VerificationError("a matching phase found no augmenting path")
 
 
 def _sorted_chains(chains: list[list[int]]) -> tuple[tuple[int, ...], ...]:
@@ -216,13 +222,14 @@ def min_chain_decomposition(p: Poset) -> ChainDecomposition:
     """
     mate_left, mate_right = _hopcroft_karp(p.n, p.succ)
     chains = []
-    for start in range(p.n):
-        if mate_right[start] != NO_MATE:
-            continue
-        chain = [start]
-        while mate_left[chain[-1]] != NO_MATE:
-            chain.append(mate_left[chain[-1]])
-        chains.append(chain)
+    for start, mate in enumerate(mate_right):
+        if mate == NO_MATE:
+            chain = [start]
+            u = mate_left[start]
+            while u != NO_MATE:
+                chain.append(u)
+                u = mate_left[u]
+            chains.append(chain)
     return ChainDecomposition(p, _sorted_chains(chains))
 
 

@@ -214,14 +214,14 @@ def mask_from_text(text: str, m: int) -> int:
         try:
             element = int(piece)
         except ValueError:
-            raise FormatError(f"bad ground element {piece!r}") from None
+            raise FormatError(f"bad ground element {piece[:40]!r}") from None
         if not 1 <= element <= m:
             raise FormatError(f"ground element {element} outside [{m}]")
         digits[-element] = 49  # ord("1") at the digit of bit element - 1
     bits = int(digits[digits.find(49):], 2)  # from the top set bit down
     canonical = mask_to_text(bits)
     if canonical != text:
-        raise FormatError(f"ground set {text!r} is not written as {canonical!r}")
+        raise FormatError(f"ground set {text[:40]!r} is not written as {canonical[:40]!r}")
     return bits
 
 
@@ -594,7 +594,7 @@ def parse_poset(text: str) -> Poset:
     try:
         n = int(lines[0])
     except ValueError:
-        raise FormatError(f"expected element count on first line, got {lines[0]!r}") from None
+        raise FormatError(f"expected element count on first line, got {lines[0][:40]!r}") from None
     if not 0 <= n <= MAX_ELEMENTS:
         raise FormatError(f"element count {n} outside [0, {MAX_ELEMENTS}]")
     body = lines[1:]
@@ -608,7 +608,7 @@ def parse_poset(text: str) -> Poset:
         for line in body:
             match = _PAIR_RE.match(line)
             if not match:
-                raise FormatError(f"expected 'u < v', got {line!r}")
+                raise FormatError(f"expected 'u < v', got {line[:40]!r}")
             ends += [parse_int(digits, line) for digits in match.groups()]
     try:
         return Poset.from_relations(n, zip(ends[::2], ends[1::2]))

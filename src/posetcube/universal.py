@@ -228,7 +228,7 @@ def parse_embedding(text: str) -> Embedding:
         raise FormatError("empty embedding file")
     header = _HEADER_RE.match(lines[0])
     if not header:
-        raise FormatError(f"bad embedding header {lines[0]!r}")
+        raise FormatError(f"bad embedding header {lines[0][:40]!r}")
     n, m = parse_int(header.group(1), lines[0]), parse_int(header.group(2), lines[0])
     if max(n, m) > MAX_ELEMENTS:
         raise FormatError(f"header n={n} m={m} exceeds {MAX_ELEMENTS}")
@@ -239,7 +239,7 @@ def parse_embedding(text: str) -> Embedding:
     for j, line in enumerate(body):
         match = _IMAGE_RE.match(line)
         if not match or parse_int(match.group(1), line) != j:
-            raise FormatError(f"expected image line for element {j}, got {line!r}")
+            raise FormatError(f"expected image line for element {j}, got {line[:40]!r}")
         masks.append(mask_from_text(match.group(2), m))
     try:
         return Embedding(m, tuple(masks))

@@ -369,14 +369,14 @@ def parse_poset_reference(text: str) -> Poset:
     try:
         n = int(lines[0])
     except ValueError:
-        raise FormatError(f"expected element count on first line, got {lines[0]!r}") from None
+        raise FormatError(f"expected element count on first line, got {lines[0][:40]!r}") from None
     if not 0 <= n <= MAX_ELEMENTS:
         raise FormatError(f"element count {n} outside [0, {MAX_ELEMENTS}]")
     pairs = []
     for line in lines[1:]:
         match = _PAIR_LINE.match(line)
         if not match:
-            raise FormatError(f"expected 'u < v', got {line!r}")
+            raise FormatError(f"expected 'u < v', got {line[:40]!r}")
         try:
             pairs.append((int(match.group(1)), int(match.group(2))))
         except ValueError:  # over the interpreter's int-string digit limit
@@ -616,6 +616,29 @@ def fence_poset(k: int) -> Poset:
     for i in range(1, k + 1):
         pairs += [(x(i), i), (x(i), i - 1)]
     return Poset.from_relations(2 * k + 2, pairs)
+
+
+def three_layer_poset(n: int, prob: float, seed: int) -> Poset:
+    """Three antichains of about n/4, n/2 and n/4 elements, bottom to top.
+
+    Each pair from adjacent layers is ordered with probability prob, and
+    the closure adds bottom < top through the middle.  Elements are
+    shuffled, so the layers do not follow index order.  Matching such a
+    poset runs phases of wide BFS layers with many dead ends.
+    """
+    rng = random.Random(seed)
+    order = list(range(n))
+    rng.shuffle(order)
+    quarter = n // 4
+    bottom, middle, top = order[:quarter], order[quarter:n - quarter], order[n - quarter:]
+    pairs = [
+        (u, v)
+        for lower, upper in ((bottom, middle), (middle, top))
+        for u in lower
+        for v in upper
+        if rng.random() < prob
+    ]
+    return Poset.from_relations(n, pairs)
 
 
 def has_augmenting_path(n: int, succ, mate_left, mate_right) -> bool:

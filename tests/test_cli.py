@@ -122,6 +122,15 @@ class TestEmbedCommand:
         shown = "0 < " + "9" * 36  # the first 40 characters of the line
         assert capsys.readouterr().err == f"error: number too long in line starting {shown!r}\n"
 
+    @pytest.mark.parametrize(
+        "text", ["9" * 5000 + "\n", "3\n0 < 1 " + "x" * 10**6 + "\n"], ids=["count", "pair"]
+    )
+    def test_hostile_line_gives_a_short_message(self, tmp_path, capsys, text):
+        path = tmp_path / "hostile.poset"
+        path.write_text(text)
+        assert main(["embed", "--in", str(path)]) == 1
+        assert len(capsys.readouterr().err) < 120
+
     def test_malformed_file_exits_one(self, tmp_path):
         path = tmp_path / "bad.poset"
         path.write_text("not a poset\n")

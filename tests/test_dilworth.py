@@ -21,6 +21,7 @@ from helpers import (
     hopcroft_karp_reference,
     konig_antichain_reference,
     max_antichain_bruteforce,
+    three_layer_poset,
 )
 
 
@@ -110,8 +111,25 @@ class TestMatchingMaximality:
     @example(200, 0.3, 2)
     @example(600, 0.005, 1)
     @example(600, 0.005, 2)
+    # many phases with deep layers
+    @example(1000, 0.3, 1)
+    # a dead end that stays in its layer is entered again after an
+    # augmentation: a leaf never pushed, and one popped from the path
+    @example(326, 0.1745416428516091, 776611)
+    @example(38, 0.21916507363898047, 791339)
     def test_same_mates_as_the_reference(self, n, prob, seed):
         p = random_poset(n, prob, seed)
+        mates = _hopcroft_karp(p.n, p.succ)
+        assert mates == hopcroft_karp_reference(p.n, p.succ)
+        assert max_antichain(p) == konig_antichain_reference(p.n, p.succ, *mates)
+
+    # wide layers and many dead ends, as on the label branch's typical posets
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(20, 300), st.floats(0.0, 0.5), st.integers(0, 2**32))
+    @example(300, 0.02, 1)
+    @example(300, 0.3, 2)
+    def test_same_mates_on_three_layer_posets(self, n, prob, seed):
+        p = three_layer_poset(n, prob, seed)
         mates = _hopcroft_karp(p.n, p.succ)
         assert mates == hopcroft_karp_reference(p.n, p.succ)
         assert max_antichain(p) == konig_antichain_reference(p.n, p.succ, *mates)

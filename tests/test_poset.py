@@ -319,6 +319,63 @@ class TestCanonicalSets:
             SubsetMask.parse(12, "13,1")
 
 
+# A message that quotes an input line quotes at most its first 40
+# characters: (parse, text around {line}, the message around the quote, a
+# line of at most 40 characters, a hostile one)
+QUOTED_LINES = {
+    "poset-count": (
+        parse_poset, "{line}\n", "expected element count on first line, got {quote}", "two", "9" * 5000
+    ),
+    "poset-pair": (
+        parse_poset, "3\n{line}\n", "expected 'u < v', got {quote}", "0 < x", "0 < 1 " + "x" * 10**6
+    ),
+    "embedding-header": (
+        parse_embedding, "{line}\n", "bad embedding header {quote}", "n=1 m=two", "n=1 " + "m" * 10**6
+    ),
+    "image-line": (
+        parse_embedding,
+        "n=1 m=2\n{line}\n",
+        "expected image line for element 0, got {quote}",
+        "zero: 1",
+        "zero: " + "1," * 500_000,
+    ),
+    "family-header": (
+        parse_family, "{line}\n", "bad family header {quote}", "m=2", "m=2 count=1 " + "x" * 10**6
+    ),
+    "family-header-count": (
+        parse_family, "{line}\n", "bad family header {quote}", "m=2 count=x", "m=" + "9" * 5000 + " count=1"
+    ),
+    "ground-element": (
+        lambda text: SubsetMask.parse(12, text), "1,{line}", "bad ground element {quote}", "x", "x" * 10**6
+    ),
+    "not-canonical": (
+        lambda text: SubsetMask.parse(2, text),
+        "{line}",
+        "ground set {quote} is not written as '1,2'",
+        "2,1",
+        "2,1" + ",2,1" * 250_000,
+    ),
+}
+
+
+class TestQuotedLines:
+    @pytest.mark.parametrize("case", list(QUOTED_LINES.values()), ids=list(QUOTED_LINES))
+    def test_short_line_quoted_whole(self, case):
+        parse, text, message, short, _ = case
+        assert len(short) <= 40
+        with pytest.raises(FormatError) as info:
+            parse(text.format(line=short))
+        assert str(info.value) == message.format(quote=repr(short))
+
+    @pytest.mark.parametrize("case", list(QUOTED_LINES.values()), ids=list(QUOTED_LINES))
+    def test_hostile_line_quoted_to_forty_characters(self, case):
+        parse, text, message, _, hostile = case
+        with pytest.raises(FormatError) as info:
+            parse(text.format(line=hostile))
+        assert str(info.value) == message.format(quote=repr(hostile[:40]))
+        assert len(str(info.value)) < 120
+
+
 class TestSubsetMask:
     def test_elements_are_one_indexed(self):
         assert SubsetMask(5, 0b10011).elements() == (1, 2, 5)
