@@ -12,6 +12,7 @@ up-set of its j-th element (the rule of the universal module).
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left
 from collections import defaultdict
 from collections.abc import Iterator
@@ -24,6 +25,7 @@ from .poset import (
 
 PARTITION_SCAN_CAP = 40
 DEFAULT_MAX_SETS = 1 << 24
+_HEADER_RE = re.compile(r"^m=(\d+)\s+count=(\d+)$", re.ASCII)
 
 
 class SetFamily(Frozen):
@@ -242,15 +244,14 @@ def parse_family(text: str) -> SetFamily:
     lines = [line.strip() for line in text.splitlines() if line.strip()]
     if not lines:
         raise FormatError("empty family file")
-    header = lines[0].split()
-    if len(header) != 2 or not header[0].startswith("m=") or not header[1].startswith("count="):
+    header = _HEADER_RE.match(lines[0])
+    if not header:
         raise FormatError(f"bad family header {lines[0][:40]!r}")
     try:
-        m = int(header[0][2:])
-        count = int(header[1][6:])
-    except ValueError:
+        m, count = map(int, header.groups())
+    except ValueError:  # a number too long for int
         raise FormatError(f"bad family header {lines[0][:40]!r}") from None
-    if not 0 <= m <= MAX_ELEMENTS:
+    if m > MAX_ELEMENTS:
         raise FormatError(f"ground set size {m} outside [0, {MAX_ELEMENTS}]")
     body = lines[1:]
     if len(body) != count:

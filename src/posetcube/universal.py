@@ -49,8 +49,8 @@ BRANCH_CHAIN = "chain-cover"
 BRANCH_ANTICHAIN = "antichain-labels"
 BRANCH_FOLKLORE = "folklore"
 
-_HEADER_RE = re.compile(r"^n=(\d+)\s+m=(\d+)$")
-_IMAGE_RE = re.compile(r"^(\d+):\s*(.+)$")
+_HEADER_RE = re.compile(r"^n=(\d+)\s+m=(\d+)$", re.ASCII)
+_IMAGE_RE = re.compile(r"^(\d+):\s*(.+)$", re.ASCII)
 
 
 class UniversalFamily(Frozen):

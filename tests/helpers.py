@@ -15,7 +15,8 @@ PartitionSeq and family_for_partition left the package for the same
 reason: the library streams partitions as plain tuples, and only the
 tests build the family of a single partition.  The text paths that the
 package replaced (per-line parse_poset, per-mask writers, the closure
-that visits every arc twice) stay here as oracles in their old form.
+that visits every arc twice, from_relations checked by the greedy cover
+picks) stay here as oracles in their old form.
 """
 
 from __future__ import annotations
@@ -354,7 +355,7 @@ def write_family_reference(family: SetFamily) -> str:
     return "\n".join(lines)
 
 
-_PAIR_LINE = re.compile(r"^(\d+)\s*<\s*(\d+)$")
+_PAIR_LINE = re.compile(r"^([0-9]+)[ \t\n\r\f\v]*<[ \t\n\r\f\v]*([0-9]+)$")
 
 
 def parse_poset_reference(text: str) -> Poset:
@@ -366,9 +367,11 @@ def parse_poset_reference(text: str) -> Poset:
             lines.append(line)
     if not lines:
         raise FormatError("empty poset file")
+    if any(c not in "0123456789" for c in lines[0]):
+        raise FormatError(f"expected element count on first line, got {lines[0][:40]!r}")
     try:
         n = int(lines[0])
-    except ValueError:
+    except ValueError:  # over the interpreter's int-string digit limit
         raise FormatError(f"expected element count on first line, got {lines[0][:40]!r}") from None
     if not 0 <= n <= MAX_ELEMENTS:
         raise FormatError(f"element count {n} outside [0, {MAX_ELEMENTS}]")
@@ -418,6 +421,37 @@ def transitive_closure_reference(n: int, direct) -> list[int]:
                 reach[u] = row
                 state[u] = 2
     return reach
+
+
+def from_relations_reference(n: int, pairs) -> Poset:
+    """Poset.from_relations as it was before its closure certificate.
+
+    One step per pair, the closure that visits every arc twice, and then
+    Poset.__init__'s greedy cover picks to check the result.
+    """
+    direct = [0] * n
+    for u, v in pairs:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"pair ({u}, {v}) outside element range")
+        if u == v:
+            raise CycleError(f"element {u} cannot be strictly below itself")
+        direct[u] |= 1 << v
+    return Poset(n, tuple(transitive_closure_reference(n, direct)))
+
+
+def closure_certificate_failure(reach, n: int, pairs) -> int | None:
+    """The first row whose closure equation fails, built one arc at a time; else None.
+
+    Row u's equation: reach[u] is the union over u's arcs (u, v) of bit v
+    and reach[v], and it does not hold bit u.
+    """
+    implied = [0] * n
+    for u, v in pairs:
+        implied[u] |= 1 << v | reach[v]
+    for u in range(n):
+        if reach[u] != implied[u] or (reach[u] >> u) & 1:
+            return u
+    return None
 
 
 def validate_chains_reference(p: Poset, chains) -> None:

@@ -289,6 +289,45 @@ class TestHeaderBound:
             parse_family(f"m={big} count=1\n{big}\n")
 
 
+class TestAsciiNumbers:
+    """Counts, pairs and indices are ASCII digits; int() alone takes much more."""
+
+    @pytest.mark.parametrize(
+        "parse, text, message",
+        [
+            (parse_poset, "+3\n", "expected element count on first line, got '+3'"),
+            (parse_poset, "1_0\n", "expected element count on first line, got '1_0'"),
+            (parse_poset, "٣\n", "expected element count on first line, got '٣'"),
+            (parse_poset, " ٣ \n", "expected element count on first line, got '٣'"),
+            (parse_poset, "３\n", "expected element count on first line, got '３'"),
+            (parse_poset, "2\n٠ < ١\n", "expected 'u < v', got '٠ < ١'"),
+            (parse_poset, "2\n0 < ١\n", "expected 'u < v', got '0 < ١'"),
+            (parse_poset, "2\n0 < 1\n", "expected 'u < v', got '0\\u2003< 1'"),
+            (parse_poset, "2\n0 <\xa01\n", "expected 'u < v', got '0 <\\xa01'"),
+            (parse_poset, "2\n+0 < 1\n", "expected 'u < v', got '+0 < 1'"),
+            (parse_embedding, "n=٢ m=٢\n0: 1\n1: 2\n", "bad embedding header 'n=٢ m=٢'"),
+            (parse_embedding, "n=1 m=1\n٠: 1\n", "expected image line for element 0, got '٠: 1'"),
+            (parse_embedding, "n=1 m=1\n0: 1\n", "bad embedding header 'n=1\\u2003m=1'"),
+            (parse_family, "m=٢ count=1\n1\n", "bad family header 'm=٢ count=1'"),
+            (parse_family, "m=2 count=+1\n1\n", "bad family header 'm=2 count=+1'"),
+            (parse_family, "m=1_0 count=1\n1\n", "bad family header 'm=1_0 count=1'"),
+        ],
+    )
+    def test_non_ascii_or_signed_numbers_rejected(self, parse, text, message):
+        with pytest.raises(FormatError) as info:
+            parse(text)
+        assert str(info.value) == message
+        if parse is parse_poset:
+            with pytest.raises(FormatError) as info:
+                parse_poset_reference(text)
+            assert str(info.value) == message
+
+    def test_leading_zeros_still_read(self):
+        assert parse_poset("003\n00 < 01\n") == Poset.from_relations(3, [(0, 1)])
+        assert parse_embedding("n=02 m=2\n00: 1\n01: 1,2\n").masks == (0b01, 0b11)
+        assert parse_family("m=02 count=01\n1\n").masks == (0b01,)
+
+
 class TestCanonicalSets:
     """A ground set parses only in the exact form mask_to_text writes."""
 

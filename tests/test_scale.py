@@ -1,5 +1,6 @@
 """Opt-in scale targets: n = 5000 through parse, verified embed and write,
-and dense n = 2000 through parse, ``pred`` and ``covers``.
+dense n = 2000 through parse, ``pred`` and ``covers``, and the parse of
+every comparable pair of a dense n = 1000 poset.
 
 Each n = 5000 case runs ``parse_poset`` -> ``embed`` (which verifies) ->
 ``write_embedding`` in a fresh interpreter, so that its peak RSS is the
@@ -18,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from posetcube import parse_poset, random_poset, write_poset
+from posetcube.poset import bit_indices
 
 pytestmark = pytest.mark.scale
 
@@ -75,3 +77,17 @@ def test_dense_2000_parse_pred_covers_under_half_a_second():
     seconds = time.perf_counter() - start
     print(f"{seconds:.3f} s")
     assert seconds < 0.5
+
+
+def test_every_comparable_pair_of_a_dense_1000_parses_under_2_s():
+    # 494,740 arcs, 4.8 MB of text: each arc costs a Python step in the
+    # parse, the closure and the certificate's OR
+    p = random_poset(1000, 0.3, 1)
+    lines = [f"{u} < {v}" for u, row in enumerate(p.succ) for v in bit_indices(row)]
+    text = "\n".join(["1000", *lines, ""])
+    start = time.perf_counter()
+    parsed = parse_poset(text)
+    seconds = time.perf_counter() - start
+    print(f"{len(lines)} pairs, {len(text) / 1e6:.1f} MB: {seconds:.3f} s")
+    assert parsed == p
+    assert seconds < 2
