@@ -39,11 +39,31 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _count(text: str) -> int:
+    """A number written in ASCII digits only, the rule of the file formats.
+
+    int() alone would also take a sign, underscores, surrounding spaces
+    and non-ASCII digits.  Raises ValueError on those, and on a number
+    over the interpreter's digit limit.
+    """
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not a count: {text!r}")
+    return int(text)
+
+
+def _parse_int(text: str) -> int:
+    """--n and --a: a count in ASCII digits."""
+    try:
+        return _count(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _parse_range(text: str) -> tuple[int, int]:
     """Accept a single count or a non-empty inclusive 'A..B' span."""
     lo, sep, hi = text.partition("..")
     try:
-        span = (int(lo), int(hi)) if sep else (int(text), int(text))
+        span = (_count(lo), _count(hi)) if sep else (_count(text), _count(text))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected N or A..B, got {text!r}") from None
     if span[0] > span[1]:
@@ -53,13 +73,12 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 def _parse_cap(text: str) -> int:
     """A non-negative set-count limit."""
+    if text.startswith("-"):
+        raise argparse.ArgumentTypeError("cap must be non-negative")
     try:
-        cap = int(text)
+        return _count(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if cap < 0:
-        raise argparse.ArgumentTypeError("cap must be non-negative")
-    return cap
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -67,21 +86,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     family = sub.add_parser("family", help="materialize the chain family over [n]")
-    family.add_argument("--n", type=int, required=True)
-    family.add_argument("--a", type=int, default=None)
+    family.add_argument("--n", type=_parse_int, required=True)
+    family.add_argument("--a", type=_parse_int, default=None)
     family.add_argument("--cap", type=_parse_cap, default=DEFAULT_MAX_SETS)
     family.add_argument("--out", default=None)
     family.set_defaults(handler=cmd_family)
 
     embed = sub.add_parser("embed", help="embed a poset file, emit a verified certificate")
     embed.add_argument("--in", dest="in_path", required=True)
-    embed.add_argument("--a", type=int, default=None)
+    embed.add_argument("--a", type=_parse_int, default=None)
     embed.add_argument("--out", default=None)
     embed.set_defaults(handler=cmd_embed)
 
     stats = sub.add_parser("stats", help="family size against the bound, per n")
     stats.add_argument("--n", type=_parse_range, required=True, metavar="N or A..B")
-    stats.add_argument("--a", type=int, default=None)
+    stats.add_argument("--a", type=_parse_int, default=None)
     stats.set_defaults(handler=cmd_stats)
 
     return parser

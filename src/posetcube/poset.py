@@ -512,48 +512,75 @@ def check_embedding(p: Poset, emb: Embedding) -> EmbeddingCheck:
 
     The relation checked is "u <= v iff image(u) is contained in image(v)"
     for every ordered pair, so incomparable pairs must fail containment
-    both ways.  It is computed whole, one byte block of the ground set at
-    a time (the Four Russians method).  The images are transposed into the
-    block's eight ground-set columns, each the set of elements whose image
-    holds that position, by one tile transpose (_block_columns, about 20
-    big-int operations per block).  A 256-entry table, built incrementally,
-    gives for every byte value s the AND of the columns of the positions
-    in s, and each element u folds table[byte of image(u)] into its
-    accumulator.  After the last block, bit v of u's accumulator is set iff
-    image(u) lies within image(v), and it must equal succ[u] | 1 << u.  The
-    walk stops at w, the top bit of the images: a block above it holds
-    only zero bytes, and table[0] is the full mask, so it changes no row;
-    for the same reason a zero byte below w is skipped, not folded.  That
-    is about n*w/8 + 32*w big-int operations on n-bit ints, instead of n*n
-    Python steps; w is about 2n/3 on the label branch.
+    both ways.  Column i of the images is the set of elements whose image
+    holds position i.
 
-    Injectivity follows from antisymmetry: equal images are contained
-    both ways, which the order allows for no two distinct elements.
-    Equal images are still reported first, as "duplicate images".
-    Otherwise the witness is the first offending pair in (u, v) order.
+    An exact accept runs first.  If every column is a principal up-set
+    ``succ[c] | 1 << c`` (the up-set of c) and the up-set of every element
+    is some column, emb is accepted.  Every column being an up-set, u <= v
+    puts v in each column that holds u, so image(u) lies within image(v).
+    Conversely the up-set of u is the column of some position i, which lies
+    in image(u); if image(u) lies within image(v), i lies in image(v), so
+    v is in the up-set of u, that is u <= v.  Injectivity follows from
+    antisymmetry: equal images are contained both ways, which the order
+    allows for no two distinct elements.  The n up-sets are distinct, so they need at least n
+    columns: the sets are built only if w, the top bit of the images, is
+    at least n.  Folklore and chain-cover certificates are their up-set
+    columns reordered and pass; label certificates (w <= m < n for a >= 5)
+    skip the sets.  The test costs one transpose of the images, about
+    20*w/8 big-int operations, and two sets of n-bit ints.
+
+    Any other emb gets the full check, with the same verdict, witness and
+    reason whether or not the accept ran.  Equal images are reported first,
+    as "duplicate images".  Then _containment's byte-block pass gives, for
+    every u, the elements whose image contains image(u), which must be
+    exactly succ[u] | 1 << u; the witness is the first offending pair in
+    (u, v) order.
     """
     if emb.n != p.n:
         raise SizeMismatchError(f"embedding has {emb.n} images for {p.n} elements")
+    masks = emb.masks
+    w = max(masks, default=0).bit_length()
+    if w >= p.n and set(transpose(masks, w)) == {row | 1 << u for u, row in enumerate(p.succ)}:
+        return EmbeddingCheck(True)
     seen: dict[int, int] = {}
-    for j, bits in enumerate(emb.masks):
+    for j, bits in enumerate(masks):
         if bits in seen:
             return EmbeddingCheck(False, (seen[bits], j), "duplicate images")
         seen[bits] = j
-    full = (1 << p.n) - 1
-    inside = [full] * p.n  # bit v of inside[u]: image(u) within image(v)
-    swaps = _tile_swaps(p.n)
-    for block in _byte_columns(emb.masks, max(emb.masks, default=0).bit_length()):
-        table = [full]
-        for column in _block_columns(block, swaps):
-            table += [t & column for t in table]
-        inside = [row & table[x] if x else row for row, x in zip(inside, block)]
-    for u, row in enumerate(inside):
+    for u, row in enumerate(_containment(p.n, masks, w)):
         wrong = row ^ (p.succ[u] | 1 << u)
         if wrong:
             v = (wrong & -wrong).bit_length() - 1
             reason = "containment without order" if row >> v & 1 else "order without containment"
             return EmbeddingCheck(False, (u, v), reason)
     return EmbeddingCheck(True)
+
+
+def _containment(n: int, masks: Sequence[int], w: int) -> list[int]:
+    """Bit v of row u is set iff masks[u] lies within masks[v]; w is their top bit.
+
+    All n*n pairs at once, one byte block of the ground set at a time (the
+    Four Russians method).  The images are transposed into the block's
+    eight ground-set columns by one tile transpose (_block_columns, about
+    20 big-int operations per block).  A 256-entry table, built
+    incrementally, gives for every byte value s the AND of the columns of
+    the positions in s, and each element u folds table[byte of masks[u]]
+    into its row.  The walk stops at w: a block above it holds only zero
+    bytes, and table[0] is the full mask, so it changes no row; for the
+    same reason a zero byte below w is skipped, not folded.  That is about
+    n*w/8 + 32*w big-int operations on n-bit ints, instead of n*n Python
+    steps; w is about 2n/3 on the label branch.
+    """
+    full = (1 << n) - 1
+    inside = [full] * n
+    swaps = _tile_swaps(n)
+    for block in _byte_columns(masks, w):
+        table = [full]
+        for column in _block_columns(block, swaps):
+            table += [t & column for t in table]
+        inside = [row & table[x] if x else row for row, x in zip(inside, block)]
+    return inside
 
 
 def random_poset(n: int, edge_prob: float, seed: int) -> Poset:

@@ -163,11 +163,15 @@ def _verify(
 ) -> None:
     """Check order-faithfulness and per-image membership, raising on failure.
 
-    Order-faithfulness is check_embedding's byte-block pass over all
-    pairs at once, about n*w/8 operations on n-bit ints with w the top bit
-    of the images (about 2n/3 on the label branch); at large n it is
-    the biggest part of a verified embed (README, "What a verified embed
-    costs").  Membership is established through a branch-specific witness
+    Order-faithfulness is check_embedding.  Folklore and chain-cover
+    images pass its exact accept: their columns are exactly the up-sets
+    succ[c] | 1 << c, one per element, which decides every pair at the
+    cost of one transpose (the proof is in check_embedding).  Label images
+    have fewer than n positions for a >= 5, so they go through its
+    byte-block pass over all pairs at once, about n*w/8 operations on
+    n-bit ints with w the top bit of the images (about 2n/3); at large n
+    that is the biggest part of a verified embed (README, "What a verified
+    embed costs").  Membership is established through a branch-specific witness
     instead of the general predicate, so verification works at any n.
     Chain-cover images must be per-cell prefix unions of the partition
     given by the chain lengths of dec, which must be positive, weakly

@@ -270,6 +270,33 @@ class TestUsageErrors:
         assert main(["family", "--n", "4", "--cap", "-1"]) == 1
         assert "cap must be non-negative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("number", ["+1", "1_0", "٣", "-1", " 3", "３", "²"])
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["family", "--n", "{}"], "--n"),
+            (["family", "--n", "6", "--a", "{}"], "--a"),
+            (["family", "--n", "6", "--cap", "{}"], "--cap"),
+            (["embed", "--in", "poset.txt", "--a", "{}"], "--a"),
+            (["stats", "--n", "{}"], "--n"),
+            (["stats", "--n", "{}..4"], "--n"),
+            (["stats", "--n", "2..{}"], "--n"),
+            (["stats", "--n", "4", "--a", "{}"], "--a"),
+        ],
+    )
+    def test_numbers_are_ascii_digits_only(self, argv, option, number, capsys):
+        # the rule of the file formats; int() alone takes every one of these
+        assert main([arg.format(number) for arg in argv]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: posetcube ")
+        assert f"error: argument {option}: " in err
+
+    def test_leading_zeros_still_read(self, capsys):
+        assert main(["stats", "--n", "04..005", "--a", "02"]) == 0
+        rows = [line for line in capsys.readouterr().out.splitlines() if line.startswith("n=")]
+        assert rows == ["n=4", "n=5"]
+
     def test_seed_flag_rejected(self, capsys):
         assert main(["--seed", "7", "stats", "--n", "3"]) == 1
         assert capsys.readouterr().out == ""

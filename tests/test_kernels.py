@@ -1,10 +1,11 @@
 """The bit-parallel kernels against the per-pair and per-bit paths they replaced.
 
-check_embedding, the three constructions (folklore_embed,
-embed_bounded_antichain, embed_with_antichain), transpose and its 8x8
-tile kernel, mask_to_text and Poset.pred work on whole rows and byte
-blocks; Poset validation and Poset.covers take one step per greedy
-cover pick; colex_half_subsets filters masks by popcount.  The oracles
+check_embedding (its up-set column accept and its byte-block pass), the
+three constructions (folklore_embed, embed_bounded_antichain,
+embed_with_antichain), transpose and its 8x8 tile kernel, mask_to_text
+and Poset.pred work on whole rows and byte blocks; Poset validation and
+Poset.covers take one step per greedy cover pick; colex_half_subsets
+filters masks by popcount.  The oracles
 in helpers.py do the same jobs one pair, one bit, one column or one
 combination at a time, and every answer here must match them: verdict,
 witness and reason, certificate bits, columns, labels, text and cover
@@ -17,24 +18,29 @@ import math
 import random
 import re
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posetcube import Poset, check_embedding, random_poset
+import posetcube.poset
+from posetcube import Poset, build_universal, check_embedding, embed_with_branch, random_poset
 from posetcube.antichain import colex_half_subsets, embed_with_antichain
 from posetcube.chainfamily import embed_bounded_antichain
 from posetcube.dilworth import ChainDecomposition, min_chain_decomposition
 from posetcube.poset import (
     Embedding,
+    EmbeddingCheck,
     _block_columns,
+    _containment,
     _tile_swaps,
     folklore_embed,
     mask_from_text,
     mask_to_text,
     transpose,
 )
+from posetcube.universal import BRANCH_ANTICHAIN
 from helpers import (
     check_embedding_naive,
     check_embedding_pairwise,
@@ -194,6 +200,152 @@ class TestVerifier:
             i, j = rng.sample((0, n - 1, rng.randrange(n), rng.randrange(n)), 2)
             masks[j] = masks[i]
         assert_same_verdict(p, Embedding(emb.m, tuple(masks)))
+
+
+def up_sets(p: Poset) -> list[int]:
+    """The principal up-set succ[u] | 1 << u of every element u."""
+    return [row | 1 << u for u, row in enumerate(p.succ)]
+
+
+def from_columns(columns: list[int], n: int) -> Embedding:
+    """The embedding whose ground position i holds the elements of columns[i]."""
+    return Embedding(len(columns), transpose(columns, n))
+
+
+def is_up_set(p: Poset, s: int) -> bool:
+    return all(p.succ[u] & ~s == 0 for u in range(p.n) if s >> u & 1)
+
+
+def verdict_and_block_passes(p: Poset, emb: Embedding):
+    """check_embedding's verdict and how often it ran the block pass."""
+    with mock.patch.object(posetcube.poset, "_containment", wraps=_containment) as block:
+        verdict = check_embedding(p, emb)
+    return verdict, block.call_count
+
+
+class TestUpSetAccept:
+    """check_embedding's column-identity accept, against the pairwise oracle.
+
+    Columns that are exactly the principal up-sets, in any order and with
+    repeats, are accepted without the block pass.  Every other set of
+    columns must get the block pass's verdict, witness and reason.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 40),
+        st.floats(0.0, 1.0),
+        st.integers(0, 2**32),
+        st.sampled_from(("folklore", "chain-cover")),
+        st.integers(0, 5),
+        st.randoms(use_true_random=False),
+    )
+    def test_permuted_and_repeated_columns(self, n, prob, seed, kind, repeats, rng):
+        p = random_poset(n, prob ** 3, seed)
+        columns = list(transpose(certificate(p, kind).masks, n))
+        assert sorted(columns) == sorted(up_sets(p))
+        if n:
+            columns += [rng.choice(columns) for _ in range(repeats)]  # w > n
+        rng.shuffle(columns)
+        emb = from_columns(columns, n)
+        verdict, passes = verdict_and_block_passes(p, emb)
+        assert verdict == check_embedding_pairwise(p, emb) == EmbeddingCheck(True)
+        assert passes == 0
+
+    def test_too_few_columns_go_to_the_block_pass(self):
+        # 0 < 2 and 1 < 2: the columns up(0) = {0, 2} and up(1) = {1, 2}
+        # embed it, but up(2) is no column, so only the block pass can accept
+        p = Poset.from_relations(3, [(0, 2), (1, 2)])
+        emb = from_columns([0b101, 0b110], 3)
+        assert emb.masks == (0b01, 0b10, 0b11)
+        verdict, passes = verdict_and_block_passes(p, emb)
+        assert verdict == check_embedding_pairwise(p, emb) == EmbeddingCheck(True)
+        assert passes == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 40),
+        st.floats(0.0, 1.0),
+        st.integers(0, 2**32),
+        st.randoms(use_true_random=False),
+    )
+    def test_every_up_set_plus_one_that_is_not(self, n, prob, seed, rng):
+        p = random_poset(n, prob ** 2, seed)
+        extra = rng.getrandbits(n)
+        if is_up_set(p, extra):
+            return
+        columns = up_sets(p)
+        rng.shuffle(columns)
+        columns.insert(rng.randrange(n + 1), extra)
+        emb = from_columns(columns, n)
+        verdict, passes = verdict_and_block_passes(p, emb)
+        assert verdict == check_embedding_pairwise(p, emb)
+        assert not verdict.ok and passes == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(2, 40),
+        st.floats(0.0, 1.0),
+        st.integers(0, 2**32),
+        st.integers(1, 3),
+        st.randoms(use_true_random=False),
+    )
+    def test_an_up_set_replaced_by_a_repeat(self, n, prob, seed, copies, rng):
+        # w stays at least n, but some element's up-set is no column
+        p = random_poset(n, prob ** 2, seed)
+        columns = up_sets(p)
+        rng.shuffle(columns)
+        del columns[rng.randrange(n)]
+        columns += [rng.choice(columns) for _ in range(copies)]
+        emb = from_columns(columns, n)
+        verdict, passes = verdict_and_block_passes(p, emb)
+        assert verdict == check_embedding_pairwise(p, emb)
+        assert passes == (verdict.reason != "duplicate images")
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 40),
+        st.floats(0.0, 1.0),
+        st.integers(0, 2**32),
+        st.randoms(use_true_random=False),
+    )
+    def test_zero_column_below_the_top_bit(self, n, prob, seed, rng):
+        # a zero column is no principal up-set, so the accept declines; it
+        # changes no containment, so the block pass accepts
+        p = random_poset(n, prob ** 2, seed)
+        columns = up_sets(p)
+        rng.shuffle(columns)
+        columns.insert(rng.randrange(n), 0)
+        emb = from_columns(columns, n)
+        assert max(emb.masks).bit_length() == n + 1
+        verdict, passes = verdict_and_block_passes(p, emb)
+        assert verdict == check_embedding_pairwise(p, emb) == EmbeddingCheck(True)
+        assert passes == 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(15, 40),
+        st.integers(0, 2**32),
+        st.integers(2, 4),
+        st.integers(0, 2),
+        st.randoms(use_true_random=False),
+    )
+    def test_label_certificates_with_m_equal_to_n(self, n, seed, a, flips, rng):
+        # a = 2..4 gives ell = a and m = n, so the label images may reach
+        # the top bit n and the sets are built; a planted antichain of at
+        # least 5 elements sends p to the label branch
+        p, _ = planted_poset(n, seed)
+        u = build_universal(n, a)
+        assert u.m == n
+        emb, branch = embed_with_branch(u, p)
+        assert branch == BRANCH_ANTICHAIN
+        masks = list(emb.masks)
+        for _ in range(flips):
+            masks[rng.randrange(n)] ^= 1 << rng.randrange(n)
+        emb = Embedding(n, tuple(masks))
+        verdict = check_embedding(p, emb)
+        assert verdict == check_embedding_pairwise(p, emb)
+        assert verdict.ok or flips
 
 
 class TestEmbeddingRange:

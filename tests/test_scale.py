@@ -1,8 +1,9 @@
-"""Opt-in scale targets: n = 5000 through parse, verified embed and write,
-dense n = 2000 through parse, ``pred`` and ``covers``, and the parse of
-every comparable pair of a dense n = 1000 poset.
+"""Opt-in scale targets: n = 5000 and dense n = 2000 through parse,
+verified embed and write, dense n = 2000 through parse, ``pred`` and
+``covers``, and the parse of every comparable pair of a dense n = 1000
+poset.
 
-Each n = 5000 case runs ``parse_poset`` -> ``embed`` (which verifies) ->
+Each pipeline case runs ``parse_poset`` -> ``embed`` (which verifies) ->
 ``write_embedding`` in a fresh interpreter, so that its peak RSS is the
 pipeline's own.  The default run deselects them; run them with
 ``python -m pytest -q -m scale``.
@@ -67,6 +68,15 @@ def test_antichain_5000_under_5_s(tmp_path):
     seconds, rss_mb = run_pipeline(tmp_path, "5000\n")
     assert seconds < 5
     assert rss_mb < 200
+
+
+def test_dense_2000_under_half_a_second(tmp_path):
+    # width 9, so the chain-cover branch, whose certificate check_embedding
+    # accepts by its up-set columns.  0.10-0.17 s on a 2-core Xeon with
+    # CPython 3.11.7 (0.14-0.16 s before the accept); the bound leaves
+    # about 3x, as the n = 5000 cases do
+    seconds, _ = run_pipeline(tmp_path, write_poset(random_poset(2000, 0.3, 1)))
+    assert seconds < 0.5
 
 
 def test_dense_2000_parse_pred_covers_under_half_a_second():

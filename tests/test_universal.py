@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import posetcube.chainfamily
+import posetcube.poset
 import posetcube.universal
 from posetcube import (
     FormatError,
@@ -215,6 +216,43 @@ class TestEmbed:
         assert emb.m == n
         for bits in emb.masks:
             assert membership(u, SubsetMask(n, bits))
+
+
+class TestBlockPassOnlyForLabels:
+    """Chain-cover and folklore certificates pass check_embedding's up-set
+    accept, so they embed with the byte-block pass out of reach; label
+    certificates still go through it."""
+
+    @pytest.fixture
+    def no_block_pass(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("block pass ran")
+
+        monkeypatch.setattr(posetcube.poset, "_containment", refuse)
+
+    @pytest.mark.parametrize(
+        "n, prob, seed", [(6, 0.3, 1), (30, 0.5, 2), (200, 0.3, 1), (300, 0.3, 4)]
+    )
+    def test_chain_cover(self, no_block_pass, n, prob, seed):
+        p = random_poset(n, prob, seed)
+        assert embed_with_branch(build_universal(n), p)[1] == BRANCH_CHAIN
+
+    def test_every_narrow_poset_of_five(self, no_block_pass):
+        u = build_universal(5)
+        narrow = [p for p in enumerate_posets(5) if min_chain_decomposition(p).width <= u.a]
+        assert {embed_with_branch(u, p)[1] for p in narrow} == {BRANCH_CHAIN}
+
+    def test_folklore(self, no_block_pass):
+        for n in (1, 2, 3):
+            for p in enumerate_posets(n):
+                assert embed_with_branch(build_universal(n), p)[1] == BRANCH_FOLKLORE
+        for n, prob, seed in [(40, 0.0, 1), (40, 0.2, 2), (100, 0.05, 3)]:
+            p = random_poset(n, prob, seed)
+            assert embed_with_branch(build_universal(n, 1), p)[1] == BRANCH_FOLKLORE
+
+    def test_labels_reach_the_block_pass(self, no_block_pass):
+        with pytest.raises(AssertionError, match="block pass ran"):
+            embed_with_branch(build_universal(12), Poset.antichain(12))
 
 
 def swap_positions(emb: Embedding, i: int, k: int) -> Embedding:
