@@ -15,7 +15,7 @@ import threading
 from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property, reduce
 from itertools import chain, compress, repeat
-from operator import and_, getitem, or_, rshift
+from operator import and_, getitem, lshift, or_, rshift
 
 from .errors import CycleError, FormatError, SizeMismatchError, VerificationError
 
@@ -92,6 +92,15 @@ def bit_indices(mask: int) -> Iterator[int]:
         mask ^= lsb
 
 
+def _selectors(bits: int) -> bytes:
+    """One byte per position up to the top bit of bits: 1 where bits is set, else 0.
+
+    itertools.compress(items, _selectors(bits)) keeps items[i] for each
+    set bit i, in C.
+    """
+    return format(bits, "b").encode()[::-1].translate(_DIGIT_VALUES)
+
+
 def _positions(width: int) -> list[str]:
     """_POSITIONS, grown to hold the text of every position below width."""
     if len(_POSITIONS) < width:
@@ -109,8 +118,7 @@ def mask_to_text(bits: int) -> str:
     """
     if bits == 0:
         return "-"
-    selectors = format(bits, "b").encode()[::-1].translate(_DIGIT_VALUES)
-    return ",".join(compress(_positions(bits.bit_length()), selectors))
+    return ",".join(compress(_positions(bits.bit_length()), _selectors(bits)))
 
 
 def masks_to_text(masks: Sequence[int]) -> Iterator[str]:
@@ -143,9 +151,14 @@ def masks_to_text(masks: Sequence[int]) -> Iterator[str]:
     return (",".join(filter(None, map(getitem, tables, row))) or "-" for row in rows)
 
 
+def _keys(rows: Iterable[int], size: int) -> Iterator[bytes]:
+    """Each row as size little-endian bytes."""
+    return map(int.to_bytes, rows, repeat(size), repeat("little"))
+
+
 def _packed(rows: Sequence[int], size: int) -> bytes:
     """The rows as size little-endian bytes each, concatenated in row order."""
-    return b"".join(map(int.to_bytes, rows, repeat(size), repeat("little")))
+    return b"".join(_keys(rows, size))
 
 
 def _byte_columns(rows: Sequence[int], width: int) -> list[bytes]:
@@ -185,17 +198,22 @@ def _block_columns(block: bytes, swaps: tuple[tuple[int, int], ...]) -> list[int
     return [int.from_bytes(data[k::8], "little") for k in range(8)]
 
 
+def _columns(blocks: Sequence[bytes], count: int) -> list[int]:
+    """The eight bit columns of each byte block of count rows, in block order."""
+    swaps = _tile_swaps(count)
+    columns: list[int] = []
+    for block in blocks:
+        columns += _block_columns(block, swaps)
+    return columns
+
+
 def transpose(rows: Sequence[int], width: int) -> tuple[int, ...]:
     """The transposed bit matrix: bit i of result[j] is bit j of rows[i].
 
     rows must fit in width bits.  Each byte block of the rows gives eight
     results at once through _block_columns, about 20 big-int operations.
     """
-    swaps = _tile_swaps(len(rows))
-    columns: list[int] = []
-    for block in _byte_columns(rows, width):
-        columns += _block_columns(block, swaps)
-    return tuple(columns[:width])
+    return tuple(_columns(_byte_columns(rows, width), len(rows))[:width])
 
 
 def mask_from_text(text: str, m: int) -> int:
@@ -461,12 +479,20 @@ def _picks_union(succ: Sequence[int], u: int) -> int:
 def transitive_closure(n: int, direct: Sequence[int]) -> list[int]:
     """Close direct successor masks under transitivity via DFS.
 
-    Each stack entry carries the reach gathered so far for its element:
-    a child already finished is ORed in when its arc is taken, and a child
-    finished later ORs its reach into its parent's entry when it is
-    popped, so every arc is visited once.  Raises CycleError on the first
-    back edge, i.e. as soon as the closure would force some u strictly
-    below itself.
+    Each stack entry is [element, heads still pending, reach gathered so
+    far].  A child already finished is ORed in when its arc is taken, and
+    a child finished later ORs its reach into its parent's entry when it
+    is popped.  Either way the pending heads that the child's reach holds
+    are dropped unvisited.  They have all finished (by induction, all that
+    a finished element reaches has finished, or a cycle error would have
+    been raised), and each one's reach lies within the child's, so
+    visiting them would only OR in bits that are already there.  So every
+    arc is visited at most once, and an arc implied by others is mostly
+    not visited at all.  A head without successors finishes where it is
+    met, without a push.  Raises CycleError on the first back edge, i.e.
+    as soon as the closure would force some u strictly below itself; the
+    dropped heads were never on the stack, so the error names the same
+    element as a walk over every arc.
     """
     reach = [0] * n
     state = bytearray(n)  # 0 unvisited, 1 on the DFS stack, 2 finished
@@ -474,27 +500,37 @@ def transitive_closure(n: int, direct: Sequence[int]) -> list[int]:
         if state[root]:
             continue
         state[root] = 1
-        stack = [(root, direct[root], direct[root])]
+        stack = [[root, direct[root], direct[root]]]
         while stack:
-            u, pending, row = stack[-1]
+            top = stack[-1]
+            pending = top[1]
             if pending:
                 lsb = pending & -pending
                 v = lsb.bit_length() - 1
                 if state[v] == 1:
                     raise CycleError(f"cycle through element {v}")
-                if state[v] == 2:
-                    stack[-1] = (u, pending ^ lsb, row | reach[v])
+                pending ^= lsb
+                if state[v] == 0:
+                    top[1] = pending
+                    if direct[v]:
+                        state[v] = 1
+                        stack.append([v, direct[v], direct[v]])
+                    else:
+                        state[v] = 2  # reach[v] stays 0
                 else:
-                    stack[-1] = (u, pending ^ lsb, row)
-                    state[v] = 1
-                    stack.append((v, direct[v], direct[v]))
+                    below = reach[v]
+                    top[1] = pending & ~below if pending & below else pending
+                    top[2] |= below
             else:
                 stack.pop()
+                u, _, row = top
                 reach[u] = row
                 state[u] = 2
                 if stack:
-                    parent, pending, above = stack[-1]
-                    stack[-1] = (parent, pending, above | row)
+                    top = stack[-1]
+                    top[2] |= row
+                    if top[1] & row:
+                        top[1] &= ~row
     return reach
 
 
@@ -513,43 +549,51 @@ def check_embedding(p: Poset, emb: Embedding) -> EmbeddingCheck:
     The relation checked is "u <= v iff image(u) is contained in image(v)"
     for every ordered pair, so incomparable pairs must fail containment
     both ways.  Column i of the images is the set of elements whose image
-    holds position i.
+    holds position i, so image(u) lies within image(v) iff every column
+    that holds u also holds v.  Hence emb is order-faithful iff (a) every
+    column is an up-set, which gives containment for u <= v, and (b) for
+    every pair with u not <= v, some column holds u but not v.
+    Injectivity then follows from antisymmetry: equal images are contained
+    both ways, which the order allows for no two distinct elements.
 
-    An exact accept runs first.  If every column is a principal up-set
-    ``succ[c] | 1 << c`` (the up-set of c) and the up-set of every element
-    is some column, emb is accepted.  Every column being an up-set, u <= v
-    puts v in each column that holds u, so image(u) lies within image(v).
-    Conversely the up-set of u is the column of some position i, which lies
-    in image(u); if image(u) lies within image(v), i lies in image(v), so
-    v is in the up-set of u, that is u <= v.  Injectivity follows from
-    antisymmetry: equal images are contained both ways, which the order
-    allows for no two distinct elements.  The n up-sets are distinct, so they need at least n
-    columns: the sets are built only if w, the top bit of the images, is
-    at least n.  Folklore and chain-cover certificates are their up-set
-    columns reordered and pass; label certificates (w <= m < n for a >= 5)
-    skip the sets.  The test costs one transpose of the images, about
-    20*w/8 big-int operations, and two sets of n-bit ints.
+    The images are transposed once into their columns, about 20*w/8
+    big-int operations with w the top bit of the images, and the
+    principal up-sets up(x) = succ[x] | 1 << x are listed once.  Two exact
+    accepts read them:
+
+    - The up-set accept takes emb if the set of its columns is exactly the
+      set of the n up-sets.  That is (a), and for u not <= v the column
+      up(u) holds u but not v.  The n up-sets are distinct, so they need
+      at least n columns: the sets are built only if w is at least n.
+      Folklore and chain-cover certificates are their up-set columns
+      reordered, so they pass.
+    - Otherwise the label accept (_label_accept) tries the criterion that
+      certificates of the label construction meet; its proof is in its
+      docstring.
 
     Any other emb gets the full check, with the same verdict, witness and
-    reason whether or not the accept ran.  Equal images are reported first,
-    as "duplicate images".  Then _containment's byte-block pass gives, for
-    every u, the elements whose image contains image(u), which must be
-    exactly succ[u] | 1 << u; the witness is the first offending pair in
-    (u, v) order.
+    reason whether or not the accepts ran.  Equal images are reported
+    first, as "duplicate images".  Then _containment's byte-block pass,
+    which reuses the columns, gives for every u the elements whose image
+    contains image(u), which must be exactly up(u); the witness is the
+    first offending pair in (u, v) order.
     """
     if emb.n != p.n:
         raise SizeMismatchError(f"embedding has {emb.n} images for {p.n} elements")
-    masks = emb.masks
+    n, masks = p.n, emb.masks
     w = max(masks, default=0).bit_length()
-    if w >= p.n and set(transpose(masks, w)) == {row | 1 << u for u, row in enumerate(p.succ)}:
+    blocks = _byte_columns(masks, w)
+    columns = _columns(blocks, n)
+    ups = [row | 1 << x for x, row in enumerate(p.succ)]
+    if w >= n and set(columns[:w]) == set(ups) or _label_accept(p, masks, columns[:w], ups):
         return EmbeddingCheck(True)
     seen: dict[int, int] = {}
     for j, bits in enumerate(masks):
         if bits in seen:
             return EmbeddingCheck(False, (seen[bits], j), "duplicate images")
         seen[bits] = j
-    for u, row in enumerate(_containment(p.n, masks, w)):
-        wrong = row ^ (p.succ[u] | 1 << u)
+    for u, row in enumerate(_containment(n, blocks, columns)):
+        wrong = row ^ ups[u]
         if wrong:
             v = (wrong & -wrong).bit_length() - 1
             reason = "containment without order" if row >> v & 1 else "order without containment"
@@ -557,27 +601,122 @@ def check_embedding(p: Poset, emb: Embedding) -> EmbeddingCheck:
     return EmbeddingCheck(True)
 
 
-def _containment(n: int, masks: Sequence[int], w: int) -> list[int]:
-    """Bit v of row u is set iff masks[u] lies within masks[v]; w is their top bit.
+def _bits(positions: Iterable[int]) -> int:
+    """The mask with the given bit positions set, built in C."""
+    return reduce(or_, map(lshift, repeat(1), positions), 0)
 
-    All n*n pairs at once, one byte block of the ground set at a time (the
-    Four Russians method).  The images are transposed into the block's
-    eight ground-set columns by one tile transpose (_block_columns, about
-    20 big-int operations per block).  A 256-entry table, built
+
+def _label_accept(p: Poset, masks: Sequence[int], columns: list[int], ups: list[int]) -> bool:
+    """Does the label criterion show that the images masks embed p?
+
+    columns are the columns of the images up to their top bit, by
+    position, and ups the principal up-sets up(x) = succ[x] | 1 << x (see
+    check_embedding).  Write down(z) = pred[z] | 1 << z.  The criterion:
+
+    1. B, the set of x whose up(x) is a column, is a down-set.  So Y, the
+       rest, is an up-set.
+    2. The other columns lie within Y and together cover Y.
+    3. K is the set of z in Y for which Y - down(z) is a column, and Z
+       the set of z in K that every column of 2 not of that form holds.
+       The window W is every column of 2 except the Y - down(z), z in Z.
+    4. L = Y - Z is an antichain, and no element of Z lies below one of L.
+    5. For v in L, the row R(v), the set of window columns that hold v, is
+       different for every v and of one size for all v, and is never all
+       of W.
+
+    Proof that the criterion is exact, with (a) and (b) as in
+    check_embedding.  First, every window column holds Z: a column not of
+    the form Y - down(k) does by the choice of Z, and Y - down(k) for k
+    in K - Z, which lies in L, holds every z in Z, since z <= k would put
+    z below an element of L (4).  (a): up(x) is an up-set, and
+    Y - down(z) is the meet of two up-sets.  Let a window column C hold u,
+    and u < v.  Then v is in Y, since u is (2).  u is in Z or in L, so v
+    is not in L (4), so v is in Z, which C holds.  (b): let u not <= v.
+    - u in B: the column up(u) holds u but not v.
+    - u in Y, v in B: some column of 2 holds u, and it lies within Y.
+    - u in Y, v in Z: the column Y - down(v) holds u but not v.
+    - u in Z, v in L: some window column misses v (5), and it holds u.
+    - u and v in L: R(u) and R(v) are distinct and of one size, so R(u)
+      is not within R(v), and some window column holds u but not v.
+    Y is Z together with L, so these cases are every pair.
+
+    The label construction (antichain module) meets 1-5 with B its below
+    block, Z its above block and L the chosen antichain, whenever each of
+    its columns plays one role.  A label column can also be Y - down(y)
+    for an antichain element y (the column of label bit 0 at a = 4 is Y
+    without the third element); then y is in K, but a label column misses
+    it, so y stays in L and the column in W.  A label or above column that
+    is also some element's up(x), which small budgets allow, puts that
+    element in B, and the criterion fails.  A declined certificate gets
+    the full check.
+
+    The columns are matched by their bytes, not as ints.  An int hashes to
+    its value modulo 2^61 - 1, so sets that differ in one element, such
+    as the columns Y - down(z) of an antichain, fall into 61 hash classes
+    and make set operations quadratic; bytes hash well and keep their
+    hash.  Beyond the conversions, B is one intersection of key sets, 2
+    and 4 are reduces over n-bit ints in C, K takes one operation per
+    element of Y on p.pred (which classify has already computed on the
+    label branch), and R(v) is masks[v] at one position of each window
+    column, so no second transpose runs.
+    """
+    n, succ = p.n, p.succ
+    size = (n + 7) // 8
+    where = dict(zip(_keys(columns, size), range(len(columns))))  # a position of each column
+    up = dict(zip(_keys(ups, size), range(n)))
+    principal = where.keys() & up.keys()
+    below = _bits(map(up.__getitem__, principal))
+    rest = ((1 << n) - 1) ^ below  # Y
+    others = where.keys() - principal
+    if reduce(or_, map(columns.__getitem__, map(where.__getitem__, others)), 0) != rest:  # 2
+        return False
+    # everything above some element of Y: within Y iff Y is an up-set (1),
+    # and disjoint from L iff 4 holds
+    reach = reduce(or_, compress(succ, _selectors(rest)), 0)
+    if reach & below:
+        return False
+    pred = p.pred
+    ys = list(compress(range(n), _selectors(rest)))
+    co = dict(zip(_keys((rest & ~(pred[z] | 1 << z) for z in ys), size), ys))
+    fits = others & co.keys()  # the columns Y - down(k)
+    window = list(map(where.__getitem__, others - fits))  # a position of each
+    fit = _bits(map(co.__getitem__, fits))  # K
+    above = fit & reduce(and_, map(columns.__getitem__, window), rest)  # Z
+    for z in bit_indices(fit ^ above):  # its column joins the window
+        window.append(where[(rest & ~(pred[z] | 1 << z)).to_bytes(size, "little")])
+    antichain = rest ^ above  # L
+    if reach & antichain:  # 4
+        return False
+    held = _bits(window)
+    rows = set(map(and_, compress(masks, _selectors(antichain)), repeat(held)))
+    return (
+        len(rows) == antichain.bit_count()
+        and len(set(map(int.bit_count, rows))) <= 1
+        and held not in rows
+    )  # 5
+
+
+def _containment(n: int, blocks: Sequence[bytes], columns: Sequence[int]) -> list[int]:
+    """Bit v of row u is set iff image u lies within image v.
+
+    blocks are the images' byte blocks (_byte_columns) up to their top
+    bit, and columns[8*b : 8*b + 8] the eight ground-set columns of block
+    b (_block_columns), which check_embedding has already computed.  All
+    n*n pairs are decided at once, one byte block of the ground set at a
+    time (the Four Russians method).  A 256-entry table, built
     incrementally, gives for every byte value s the AND of the columns of
-    the positions in s, and each element u folds table[byte of masks[u]]
-    into its row.  The walk stops at w: a block above it holds only zero
-    bytes, and table[0] is the full mask, so it changes no row; for the
-    same reason a zero byte below w is skipped, not folded.  That is about
-    n*w/8 + 32*w big-int operations on n-bit ints, instead of n*n Python
-    steps; w is about 2n/3 on the label branch.
+    the positions in s, and each element u folds table[byte of image u]
+    into its row.  Blocks above the top bit would hold only zero bytes,
+    and table[0] is the full mask, so they would change no row; for the
+    same reason a zero byte below the top bit is skipped, not folded.
+    That is about n*w/8 + 32*w big-int operations on n-bit ints, instead
+    of n*n Python steps, with w the top bit of the images.
     """
     full = (1 << n) - 1
     inside = [full] * n
-    swaps = _tile_swaps(n)
-    for block in _byte_columns(masks, w):
+    for b, block in enumerate(blocks):
         table = [full]
-        for column in _block_columns(block, swaps):
+        for column in columns[8 * b : 8 * b + 8]:
             table += [t & column for t in table]
         inside = [row & table[x] if x else row for row, x in zip(inside, block)]
     return inside

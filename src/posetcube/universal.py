@@ -163,16 +163,18 @@ def _verify(
 ) -> None:
     """Check order-faithfulness and per-image membership, raising on failure.
 
-    Order-faithfulness is check_embedding.  Folklore and chain-cover
-    images pass its exact accept: their columns are exactly the up-sets
-    succ[c] | 1 << c, one per element, which decides every pair at the
-    cost of one transpose (the proof is in check_embedding).  Label images
-    have fewer than n positions for a >= 5, so they go through its
-    byte-block pass over all pairs at once, about n*w/8 operations on
-    n-bit ints with w the top bit of the images (about 2n/3); at large n
-    that is the biggest part of a verified embed (README, "What a verified
-    embed costs").  Membership is established through a branch-specific witness
-    instead of the general predicate, so verification works at any n.
+    Order-faithfulness is check_embedding.  Every certificate costs it one
+    transpose of the images and the principal up-sets succ[c] | 1 << c.
+    Folklore and chain-cover images pass its up-set accept: their columns
+    are exactly those up-sets, one per element.  Label images pass its
+    label accept, which recognises the construction's below, label and
+    above columns from p alone (the proofs are in check_embedding and
+    _label_accept).  A certificate that neither accepts, which only a
+    small budget can give the label branch, goes through the byte-block
+    pass over all pairs at once, about n*w/8 operations on n-bit ints with
+    w the top bit of the images (README, "What a verified embed costs").
+    Membership is established through a branch-specific witness instead
+    of the general predicate, so verification works at any n.
     Chain-cover images must be per-cell prefix unions of the partition
     given by the chain lengths of dec, which must be positive, weakly
     decreasing and sum to n in at most a parts; _chain_escape tests each

@@ -1,6 +1,6 @@
 """The bit-parallel kernels against the per-pair and per-bit paths they replaced.
 
-check_embedding (its up-set column accept and its byte-block pass), the
+check_embedding (its up-set and label accepts and its byte-block pass), the
 three constructions (folklore_embed, embed_bounded_antichain,
 embed_with_antichain), transpose and its 8x8 tile kernel, mask_to_text
 and Poset.pred work on whole rows and byte blocks; Poset validation and
@@ -310,8 +310,9 @@ class TestUpSetAccept:
         st.randoms(use_true_random=False),
     )
     def test_zero_column_below_the_top_bit(self, n, prob, seed, rng):
-        # a zero column is no principal up-set, so the accept declines; it
-        # changes no containment, so the block pass accepts
+        # a zero column is no principal up-set, so the up-set accept
+        # declines; the label accept takes it as a window column with
+        # every element principal (B is everything, Y, Z and L are empty)
         p = random_poset(n, prob ** 2, seed)
         columns = up_sets(p)
         rng.shuffle(columns)
@@ -320,7 +321,7 @@ class TestUpSetAccept:
         assert max(emb.masks).bit_length() == n + 1
         verdict, passes = verdict_and_block_passes(p, emb)
         assert verdict == check_embedding_pairwise(p, emb) == EmbeddingCheck(True)
-        assert passes == 1
+        assert passes == 0
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -346,6 +347,141 @@ class TestUpSetAccept:
         verdict = check_embedding(p, emb)
         assert verdict == check_embedding_pairwise(p, emb)
         assert verdict.ok or flips
+
+
+def label_certificate(n: int, seed: int, share: float, planted: bool = True):
+    """A poset and its label-branch certificate at a budget a in 2..width-1.
+
+    share picks a within that range; the certificate is None if the poset
+    is narrower than 3, so that no budget of at least 2 gives the branch.
+    """
+    p = planted_poset(n, seed)[0] if planted else random_poset(n, 2 / n, seed)
+    width = min_chain_decomposition(p).width
+    if width < 3:
+        return p, None
+    a = 2 + int(share * (width - 3))
+    emb, branch = embed_with_branch(build_universal(n, a), p)
+    assert branch == BRANCH_ANTICHAIN
+    return p, emb
+
+
+def column_blocks(p: Poset, columns: list[int]) -> tuple[list[int], list[int], list[int]]:
+    """The columns split into principal, co-principal and window columns.
+
+    Principal: some element's up-set.  Co-principal: Y minus the down-set
+    of some z in Y, Y being the elements whose up-set is no column.
+    Window: the rest.
+    """
+    ups = set(up_sets(p))
+    rest = sum(1 << u for u in range(p.n) if p.succ[u] | 1 << u not in columns)
+    co = {rest & ~(p.pred[z] | 1 << z) for z in range(p.n) if rest >> z & 1}
+    blocks: tuple[list[int], list[int], list[int]] = ([], [], [])
+    for c in columns:
+        blocks[0 if c in ups else 1 if c in co else 2].append(c)
+    return blocks
+
+
+class TestLabelAccept:
+    """check_embedding's label accept (poset._label_accept), against the pairwise oracle.
+
+    The accept reads the distinct columns only, so permuting and repeating
+    the columns of a certificate never changes whether it runs the block
+    pass.  Anything the accept declines must get the block pass's verdict,
+    witness and reason, and anything it takes must be order-faithful.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(13, 40),
+        st.integers(0, 2**32),
+        st.floats(0.0, 1.0),
+        st.integers(0, 5),
+        st.randoms(use_true_random=False),
+    )
+    def test_permuted_and_repeated_columns(self, n, seed, share, repeats, rng):
+        p, emb = label_certificate(n, seed, share)
+        if emb is None:
+            return
+        base, base_passes = verdict_and_block_passes(p, emb)
+        columns = list(transpose(emb.masks, max(emb.masks).bit_length()))
+        columns += [rng.choice(columns) for _ in range(repeats)]
+        rng.shuffle(columns)
+        moved = from_columns(columns, n)
+        verdict, passes = verdict_and_block_passes(p, moved)
+        assert base == verdict == check_embedding_pairwise(p, moved) == EmbeddingCheck(True)
+        assert passes == base_passes
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(13, 40), st.integers(0, 2**32), st.floats(0.0, 1.0), st.booleans())
+    def test_every_one_bit_flip(self, n, seed, share, planted):
+        p, emb = label_certificate(n, seed, share, planted)
+        if emb is None:
+            return
+        top = max(emb.masks).bit_length()
+        rejected = 0
+        for j in range(n):
+            for bit in range(min(top + 1, n)):  # one bit above the images too
+                masks = list(emb.masks)
+                masks[j] ^= 1 << bit
+                flipped = Embedding(n, tuple(masks))
+                verdict = check_embedding(p, flipped)
+                assert verdict == check_embedding_pairwise(p, flipped)
+                rejected += not verdict.ok
+        assert rejected
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(13, 40),
+        st.integers(0, 2**32),
+        st.floats(0.0, 1.0),
+        st.booleans(),
+        st.randoms(use_true_random=False),
+    )
+    def test_columns_swapped_between_blocks(self, n, seed, share, replace, rng):
+        # a column of one block is replaced by a column of another, or one
+        # element trades places between a column of each block
+        p, emb = label_certificate(n, seed, share)
+        if emb is None:
+            return
+        columns = list(transpose(emb.masks, max(emb.masks).bit_length()))
+        blocks = column_blocks(p, columns)
+        kinds = [k for k, block in enumerate(blocks) if block]
+        if len(kinds) < 2:
+            return
+        mine, theirs = (rng.choice(blocks[k]) for k in rng.sample(kinds, 2))
+        i, k = columns.index(mine), columns.index(theirs)
+        if replace:
+            columns[i] = theirs
+        else:
+            x = rng.choice([x for x in range(n) if (mine ^ theirs) >> x & 1])
+            columns[i] ^= 1 << x
+            columns[k] ^= 1 << x
+        swapped = from_columns(columns, n)
+        verdict, passes = verdict_and_block_passes(p, swapped)
+        assert verdict == check_embedding_pairwise(p, swapped)
+        assert verdict.ok or passes == (verdict.reason != "duplicate images")
+
+    @pytest.mark.parametrize(
+        "condition, succ, columns",
+        [
+            ("1: B a down-set", (0, 1), (0b0, 0b1, 0b10)),
+            ("2: the rest lie within Y and cover it", (0, 0), (0b0, 0b1)),
+            ("3: the window holds Z", (0, 0, 0), (0b0, 0b11, 0b101)),
+            ("4: nothing in Y below L", (0, 0b101, 0), (0b11, 0b101, 0b110)),
+            ("5: distinct rows", (0, 0), (0b0, 0b11)),
+            ("5: rows of one size", (0, 0, 0, 0), (0b11, 0b101, 0b1010)),
+            ("5: no row is the whole window", (0, 0, 0), (0b11, 0b101)),
+        ],
+    )
+    def test_each_condition_is_needed(self, condition, succ, columns):
+        # the smallest columns (by a search over every poset of n <= 4)
+        # that meet every condition but the named one and embed nothing
+        p = Poset(len(succ), succ)
+        emb = from_columns(list(columns), p.n)
+        assert max(emb.masks).bit_length() == len(columns)
+        verdict, passes = verdict_and_block_passes(p, emb)
+        assert verdict == check_embedding_pairwise(p, emb)
+        assert not verdict.ok and passes == (verdict.reason != "duplicate images")
 
 
 class TestEmbeddingRange:

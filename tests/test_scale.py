@@ -1,12 +1,16 @@
 """Opt-in scale targets: n = 5000 and dense n = 2000 through parse,
-verified embed and write, dense n = 2000 through parse, ``pred`` and
-``covers``, and the parse of every comparable pair of a dense n = 1000
-poset.
+verified embed and write, the verified embed of the n = 8000 antichain,
+dense n = 2000 through parse, ``pred`` and ``covers``, and the parse of
+every comparable pair of a dense n = 1000 poset.
 
 Each pipeline case runs ``parse_poset`` -> ``embed`` (which verifies) ->
-``write_embedding`` in a fresh interpreter, so that its peak RSS is the
-pipeline's own.  The default run deselects them; run them with
-``python -m pytest -q -m scale``.
+``write_embedding`` in a fresh interpreter, and the n = 8000 case its
+embed alone.  The child reads its peak RSS as ``VmHWM`` in
+``/proc/self/status`` just before it exits, which counts its own pages
+only; ``ru_maxrss`` would also count the pages of the process that
+launched it, up to its exec.  Where that file does not exist, the child
+falls back to ``ru_maxrss``.  The default run deselects these cases; run
+them with ``python -m pytest -q -m scale``.
 """
 
 from __future__ import annotations
@@ -25,8 +29,21 @@ from posetcube.poset import bit_indices
 pytestmark = pytest.mark.scale
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+# the last lines of every child: print seconds, peak RSS in MB and where
+# the peak was read
+PEAK = """
+import resource
+try:
+    with open("/proc/self/status") as status:
+        peak_kb = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+    source = "VmHWM"
+except (OSError, StopIteration):
+    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    source = "ru_maxrss"
+print(seconds, peak_kb / 1024, source)
+"""
 PIPELINE = """
-import resource, sys, time
+import sys, time
 from posetcube import build_universal, embed, parse_poset, write_embedding
 
 text = open(sys.argv[1]).read()
@@ -34,26 +51,39 @@ start = time.perf_counter()
 p = parse_poset(text)
 certificate = write_embedding(embed(build_universal(p.n), p))
 seconds = time.perf_counter() - start
-print(seconds, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
-"""
+""" + PEAK
+ANTICHAIN_EMBED = """
+import sys, time
+from posetcube import Poset, build_universal, embed
+
+p = Poset.antichain(int(sys.argv[1]))
+start = time.perf_counter()
+embed(build_universal(p.n), p)
+seconds = time.perf_counter() - start
+""" + PEAK
 
 
 def run_pipeline(tmp_path: Path, poset_text: str) -> tuple[float, float]:
     """Seconds and peak RSS in MB of one pipeline run on the given poset."""
     path = tmp_path / "poset.txt"
     path.write_text(poset_text)
+    return run_child(PIPELINE, str(path))
+
+
+def run_child(script: str, argument: str) -> tuple[float, float]:
+    """Seconds and peak RSS in MB that a fresh interpreter running script reports."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
     done = subprocess.run(
-        [sys.executable, "-c", PIPELINE, str(path)],
+        [sys.executable, "-c", script, argument],
         env=env,
         capture_output=True,
         text=True,
         timeout=300,
         check=True,
     )
-    seconds, rss_mb = map(float, done.stdout.split())
-    print(f"{seconds:.2f} s, {rss_mb:.1f} MB peak RSS")
-    return seconds, rss_mb
+    seconds, rss_mb, source = done.stdout.split()
+    print(f"{float(seconds):.2f} s, {float(rss_mb):.1f} MB peak RSS ({source})")
+    return float(seconds), float(rss_mb)
 
 
 def test_sparse_5000_under_5_s_and_150_mb(tmp_path):
@@ -77,6 +107,17 @@ def test_dense_2000_under_half_a_second(tmp_path):
     # about 3x, as the n = 5000 cases do
     seconds, _ = run_pipeline(tmp_path, write_poset(random_poset(2000, 0.3, 1)))
     assert seconds < 0.5
+
+
+def test_antichain_8000_verified_embed_under_0_6_s_and_150_mb():
+    # the label branch: check_embedding's label accept recognises the
+    # certificate from the poset alone.  0.20-0.26 s and 61 MB on a 2-core
+    # Xeon with CPython 3.11.7; with the byte-block pass instead it took
+    # 1.07-1.14 s (the check 0.96-1.04 s) and 44 MB.  The time bound
+    # leaves a little over 2x
+    seconds, rss_mb = run_child(ANTICHAIN_EMBED, "8000")
+    assert seconds < 0.6
+    assert rss_mb < 150
 
 
 def test_dense_2000_parse_pred_covers_under_half_a_second():

@@ -216,6 +216,39 @@ class TestClosure:
         assert closure_outcome(transitive_closure, len(direct), direct) == outcome
         assert closure_outcome(transitive_closure_reference, len(direct), direct) == outcome
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 60),
+        st.floats(0, 1),
+        st.floats(0, 1),
+        st.integers(0, 3),
+        st.integers(0, 2**32),
+    )
+    def test_implied_arcs_equal_reference(self, n, q, keep, back_arcs, seed):
+        # the arcs are a random share of the closure of a random DAG, so
+        # most heads are implied by others and are dropped unvisited;
+        # back arcs close cycles among them
+        rng = random.Random(seed)
+        reach = transitive_closure_reference(n, random_direct(n, q, rng, 0))
+        direct = [sum(1 << v for v in range(n) if row >> v & 1 and rng.random() < keep) for row in reach]
+        for _ in range(back_arcs if n > 1 else 0):
+            u, v = rng.sample(range(n), 2)
+            direct[u] |= 1 << v
+        assert closure_outcome(transitive_closure, n, direct) == closure_outcome(
+            transitive_closure_reference, n, direct
+        )
+
+    def test_every_comparable_pair_of_a_path(self):
+        # each element lists every element above it; in ascending order the
+        # first head's reach holds all the others
+        n = 300
+        direct = [((1 << n) - 1) ^ ((1 << (u + 1)) - 1) for u in range(n)]
+        assert transitive_closure(n, direct) == direct
+        direct[-1] = 1  # the top element back to the bottom closes a cycle
+        assert closure_outcome(transitive_closure, n, direct) == closure_outcome(
+            transitive_closure_reference, n, direct
+        )
+
     def test_long_path(self):
         n = 3000  # deeper than the recursion limit, one arc per element
         direct = [1 << (u + 1) for u in range(n - 1)] + [0]

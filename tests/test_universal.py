@@ -220,8 +220,10 @@ class TestEmbed:
 
 class TestBlockPassOnlyForLabels:
     """Chain-cover and folklore certificates pass check_embedding's up-set
-    accept, so they embed with the byte-block pass out of reach; label
-    certificates still go through it."""
+    accept, and label certificates its label accept, so they embed with
+    the byte-block pass out of reach.  Only a label certificate in which
+    one column plays two roles, as can happen for small budgets, is
+    declined and goes through the block pass."""
 
     @pytest.fixture
     def no_block_pass(self, monkeypatch):
@@ -250,9 +252,30 @@ class TestBlockPassOnlyForLabels:
             p = random_poset(n, prob, seed)
             assert embed_with_branch(build_universal(n, 1), p)[1] == BRANCH_FOLKLORE
 
+    @pytest.mark.parametrize(
+        "p, a",
+        [
+            # a = 4: the label column of bit 0 is Y without the third
+            # antichain element, so that element fits Z and is moved to L
+            (Poset.antichain(12), None),
+            (Poset.antichain(15), None),  # a = 5, the least budget with ell = 4
+            (Poset.antichain(40), 7),  # ell = 5, and one label holds the top bit
+            (random_poset(60, 0.05, 3), 5),
+            (random_poset(600, 3 / 600, 1), None),  # the embed-sparse shape, a = 200
+            (random_poset(300, 0.01, 2), 30),
+        ],
+    )
+    def test_labels(self, no_block_pass, p, a):
+        assert embed_with_branch(build_universal(p.n, a), p)[1] == BRANCH_ANTICHAIN
+
     def test_labels_reach_the_block_pass(self, no_block_pass):
+        # 1 < 0 and 2 < 0, with 3 apart, at a = 2: the antichain {1, 2}
+        # leaves 0 and 3 above, and the column of 0 (everything not at or
+        # under 0) is {3}, the up-set of 3.  So 3 looks principal, the
+        # label columns that hold it leave Y, and the accept declines
+        p = Poset.from_relations(4, [(1, 0), (2, 0)])
         with pytest.raises(AssertionError, match="block pass ran"):
-            embed_with_branch(build_universal(12), Poset.antichain(12))
+            embed_with_branch(build_universal(4, 2), p)
 
 
 def swap_positions(emb: Embedding, i: int, k: int) -> Embedding:
