@@ -4,16 +4,25 @@ A strict order on n elements induces a bipartite graph on two copies of
 the element set with an edge (u, v) whenever u < v.  A maximum matching
 there merges elements into paths, giving a partition into n - (matching
 size) chains, which is optimal; the dual vertex cover yields a maximum
-antichain of exactly that many elements.  The chains determine the
-matching, so one matching per poset gives both (Fulkerson 1956).
+antichain of exactly that many elements (Fulkerson 1956).  One matching
+is read in one of two ways.  The chains are the unmatched right vertices
+followed up through their mates.  The antichain is read off the last BFS
+of the matching, the one that finds no free right vertex: the elements
+kept out of the König cover are the free left vertices and the mates of
+the right vertices it reached, minus those right vertices.  A BFS over
+the chains would run over the same matching from the same roots (a free
+left vertex without a successor reaches nothing), so it would reach the
+same vertices and give the same antichain.  cover_or_antichain, which
+the embedder calls, runs one matching and builds the chains or the
+antichain, never both.
 
-Matching is Hopcroft-Karp on bitmask rows.  Each phase's BFS starts
-from the roots, the free left vertices with a successor, at depth 0
-(an element with no successor has no edge on the left).  layer[d] holds
-the matched right vertices whose mate sits at depth d; one bit loop over
-a layer ORs the rows of those mates, and what it reaches, minus the right
-vertices already seen, gives the next layer, so every right vertex is
-touched once per phase.  The augmenting search is an iterative DFS from
+Matching is Hopcroft-Karp on bitmask rows.  Each phase's BFS
+(_alternating_bfs) starts from the roots, the free left vertices with a
+successor, at depth 0 (an element with no successor has no edge on the
+left).  layer[d] holds the matched right vertices whose mate sits at
+depth d; one bit loop over a layer ORs the rows of those mates, and what
+it reaches, minus the right vertices already seen, gives the next layer,
+so every right vertex is touched once per phase.  The augmenting search is an iterative DFS from
 each root in turn, so path length is bounded by memory, not by the
 interpreter's recursion limit.  It takes the candidates of u, lowest
 first, from succ[u] restricted to free right vertices and to the next
@@ -38,7 +47,7 @@ from itertools import chain as iter_chain, compress, repeat
 from operator import and_, rshift
 
 from .errors import InfeasibleError, VerificationError
-from .poset import Frozen, Poset, bit_indices
+from .poset import Frozen, Poset, _bits, _selectors
 
 NO_MATE = -1
 
@@ -93,44 +102,75 @@ class ChainDecomposition(Frozen):
     def antichain(self) -> frozenset[int]:
         """The antichain dual to the matching these chains encode.
 
-        Consecutive chain elements are the matched pairs and the top of
-        each chain is an unmatched left vertex.  Alternating reachability
-        from those gives a König vertex cover; the elements kept out of it
-        on both sides are pairwise incomparable for any cover, and there
-        are `width` of them, a maximum antichain, when the cover is minimum.
+        Consecutive chain elements are the matched pairs, so the bottom of
+        each chain is a free right vertex and its top a free left vertex.
+        The matching's alternating BFS runs from the tops, and the elements
+        kept out of the König vertex cover are pairwise incomparable for
+        any cover; there are `width` of them, a maximum antichain, when the
+        cover is minimum.  For min_chain_decomposition's cover this is the
+        BFS that ended the matching, so it equals max_antichain.
         """
-        succ = self.poset.succ
         mate_right = [NO_MATE] * self.poset.n
-        reach_left = new_right = 0
         for chain in self.chains:
             for u, v in zip(chain, chain[1:]):
                 mate_right[v] = u
-            reach_left |= 1 << chain[-1]
-            new_right |= succ[chain[-1]]
-        reach_right = 0
-        # one bit loop per layer: each right vertex reached for the first
-        # time passes the reach on to its mate
-        while new_right:
-            reach_right |= new_right
-            reach = 0
-            while new_right:
-                v = new_right.bit_length() - 1
-                new_right ^= 1 << v
-                u = mate_right[v]
-                if u != NO_MATE:
-                    reach_left |= 1 << u
-                    reach |= succ[u]
-            new_right = reach & ~reach_right
-        # cover = (left not reached) + (right reached); the antichain is the rest
-        return frozenset(bit_indices(reach_left & ~reach_right))
+        tops = [chain[-1] for chain in self.chains]
+        bottoms = _bits(chain[0] for chain in self.chains)
+        _, reached = _alternating_bfs(self.poset.succ, mate_right, tops, bottoms)
+        return frozenset(_konig_antichain(mate_right, reached))
 
 
-def _hopcroft_karp(n: int, succ: tuple[int, ...]) -> tuple[list[int], list[int]]:
+def _alternating_bfs(
+    succ: tuple[int, ...], mate_right: list[int], roots: list[int], free_right: int
+) -> tuple[list[int], int]:
+    """The layers of the alternating BFS from roots, and the right vertices it reached.
+
+    layer[d] holds the matched right vertices whose mate sits at depth d;
+    the roots, free left vertices, are depth 0.  A free right vertex is
+    reached but leads nowhere.
+    """
+    reach = 0
+    for u in roots:
+        reach |= succ[u]
+    seen_right = reach
+    layer = [0, reach & ~free_right]
+    while layer[-1]:
+        matched = layer[-1]
+        reach = 0
+        while matched:
+            v = matched.bit_length() - 1
+            reach |= succ[mate_right[v]]
+            matched ^= 1 << v
+        reach &= ~seen_right
+        seen_right |= reach
+        layer.append(reach & ~free_right)
+    return layer, seen_right
+
+
+def _konig_antichain(mate_right: list[int], reached: int) -> tuple[int, ...]:
+    """The elements outside the König cover of a matching, in ascending order.
+
+    reached holds the right vertices that the alternating BFS from the
+    free left vertices reached.  The cover is the left vertices it did not
+    reach and the right vertices it did, so the rest is (free left
+    vertices and mates of reached right vertices) minus reached right
+    vertices.  A reached right vertex may be free when the matching is not
+    maximum, and then has no mate to read.  Four passes in C.
+    """
+    n = len(mate_right)
+    matched_left = _bits(filter(NO_MATE.__ne__, mate_right))
+    reached_left = _bits(filter(NO_MATE.__ne__, compress(mate_right, _selectors(reached))))
+    free_left = ((1 << n) - 1) ^ matched_left
+    return tuple(compress(range(n), _selectors((free_left | reached_left) & ~reached)))
+
+
+def _hopcroft_karp(n: int, succ: tuple[int, ...]) -> tuple[list[int], list[int], int]:
     """Maximum matching in the split bipartite graph of a strict order.
 
     Left copy u may match right copy v whenever u < v.  Returns the mate
-    arrays (NO_MATE where unmatched): mate_left[u] = v means the edge
-    (u, v) is in the matching.
+    arrays (NO_MATE where unmatched), where mate_left[u] = v means the
+    edge (u, v) is in the matching, and the mask of the right vertices
+    that the last BFS reached, the one that found no free right vertex.
     """
     mate_left = [NO_MATE] * n
     mate_right = [NO_MATE] * n
@@ -146,26 +186,10 @@ def _hopcroft_karp(n: int, succ: tuple[int, ...]) -> tuple[list[int], list[int]]
             mate_right[v] = u
             free_right ^= lsb
     while True:
-        # BFS: layer[d] holds the matched right vertices whose mate sits at
-        # depth d; the roots, the free left vertices, are depth 0
         roots = [u for u in left if mate_left[u] == NO_MATE]
-        reach = 0
-        for u in roots:
-            reach |= succ[u]
-        seen_right = reach
-        layer = [0, reach & ~free_right]
-        while layer[-1]:
-            matched = layer[-1]
-            reach = 0
-            while matched:
-                v = matched.bit_length() - 1
-                reach |= succ[mate_right[v]]
-                matched ^= 1 << v
-            reach &= ~seen_right
-            seen_right |= reach
-            layer.append(reach & ~free_right)
+        layer, seen_right = _alternating_bfs(succ, mate_right, roots, free_right)
         if not seen_right & free_right:
-            return mate_left, mate_right
+            return mate_left, mate_right, seen_right
         before = free_right
         for root in roots:
             # path[i] is the left vertex at depth i, via[i] the right vertex
@@ -215,12 +239,8 @@ def _sorted_chains(chains: list[list[int]]) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(chain) for chain in chains)
 
 
-def min_chain_decomposition(p: Poset) -> ChainDecomposition:
-    """Partition p into the fewest possible chains.
-
-    The number of chains always equals the maximum antichain size.
-    """
-    mate_left, mate_right = _hopcroft_karp(p.n, p.succ)
+def _chains(p: Poset, mate_left: list[int], mate_right: list[int]) -> ChainDecomposition:
+    """The chains of a matching: each free right vertex followed up through its mates."""
     chains = []
     for start, mate in enumerate(mate_right):
         if mate == NO_MATE:
@@ -233,9 +253,35 @@ def min_chain_decomposition(p: Poset) -> ChainDecomposition:
     return ChainDecomposition(p, _sorted_chains(chains))
 
 
+def min_chain_decomposition(p: Poset) -> ChainDecomposition:
+    """Partition p into the fewest possible chains.
+
+    The number of chains always equals the maximum antichain size.
+    """
+    mate_left, mate_right, _ = _hopcroft_karp(p.n, p.succ)
+    return _chains(p, mate_left, mate_right)
+
+
 def max_antichain(p: Poset) -> frozenset[int]:
-    """A maximum antichain of p, dual to its minimum chain cover."""
-    return min_chain_decomposition(p).antichain
+    """A maximum antichain of p, min_chain_decomposition(p).antichain without the chains."""
+    _, mate_right, reached = _hopcroft_karp(p.n, p.succ)
+    return frozenset(_konig_antichain(mate_right, reached))
+
+
+def cover_or_antichain(
+    p: Poset, a: int
+) -> tuple[ChainDecomposition | None, tuple[int, ...]]:
+    """From one matching, the minimum chain cover if it fits in a chains, else an antichain.
+
+    Returns (min_chain_decomposition(p), ()) when the width is at most a,
+    and otherwise (None, the elements of max_antichain(p) in ascending
+    order).  The width is the number of unmatched right vertices, so only
+    the branch taken is built.
+    """
+    mate_left, mate_right, reached = _hopcroft_karp(p.n, p.succ)
+    if mate_right.count(NO_MATE) <= a:
+        return _chains(p, mate_left, mate_right), ()
+    return None, _konig_antichain(mate_right, reached)
 
 
 def decomposition_into_exactly(p: Poset, a: int) -> ChainDecomposition:

@@ -557,19 +557,22 @@ def check_embedding(p: Poset, emb: Embedding) -> EmbeddingCheck:
     both ways, which the order allows for no two distinct elements.
 
     The images are transposed once into their columns, about 20*w/8
-    big-int operations with w the top bit of the images, and the
-    principal up-sets up(x) = succ[x] | 1 << x are listed once.  Two exact
-    accepts read them:
+    big-int operations with w the top bit of the images.  The principal
+    up-sets up(x) = succ[x] | 1 << x are generated from succ wherever a
+    step reads them, and never kept as a second list.  Two exact accepts
+    read the columns:
 
-    - The up-set accept takes emb if the set of its columns is exactly the
-      set of the n up-sets.  That is (a), and for u not <= v the column
-      up(u) holds u but not v.  The n up-sets are distinct, so they need
-      at least n columns: the sets are built only if w is at least n.
-      Folklore and chain-cover certificates are their up-set columns
-      reordered, so they pass.
+    - The up-set accept takes emb if w = n and its columns, sorted, are
+      the n up-sets, sorted.  That is (a), and for u not <= v the column
+      up(u) holds u but not v.  The lists are compared sorted, not as sets
+      of ints: an int hashes to its value modulo 2^61 - 1, so the up-sets
+      2^n - 2^x of a chain fall into 61 hash classes and a set of them
+      takes quadratic time.  Folklore and chain-cover certificates are
+      their up-set columns reordered, so they pass.
     - Otherwise the label accept (_label_accept) tries the criterion that
       certificates of the label construction meet; its proof is in its
-      docstring.
+      docstring.  It also takes up-set columns with repeats (w > n), with
+      every element in its B.
 
     Any other emb gets the full check, with the same verdict, witness and
     reason whether or not the accepts ran.  Equal images are reported
@@ -584,16 +587,17 @@ def check_embedding(p: Poset, emb: Embedding) -> EmbeddingCheck:
     w = max(masks, default=0).bit_length()
     blocks = _byte_columns(masks, w)
     columns = _columns(blocks, n)
-    ups = [row | 1 << x for x, row in enumerate(p.succ)]
-    if w >= n and set(columns[:w]) == set(ups) or _label_accept(p, masks, columns[:w], ups):
+    if w == n and sorted(columns[:w]) == sorted(_up_sets(p.succ)) or _label_accept(
+        p, masks, columns[:w]
+    ):
         return EmbeddingCheck(True)
     seen: dict[int, int] = {}
     for j, bits in enumerate(masks):
         if bits in seen:
             return EmbeddingCheck(False, (seen[bits], j), "duplicate images")
         seen[bits] = j
-    for u, row in enumerate(_containment(n, blocks, columns)):
-        wrong = row ^ ups[u]
+    for u, (row, up) in enumerate(zip(_containment(n, blocks, columns), _up_sets(p.succ))):
+        wrong = row ^ up
         if wrong:
             v = (wrong & -wrong).bit_length() - 1
             reason = "containment without order" if row >> v & 1 else "order without containment"
@@ -601,17 +605,22 @@ def check_embedding(p: Poset, emb: Embedding) -> EmbeddingCheck:
     return EmbeddingCheck(True)
 
 
+def _up_sets(succ: Sequence[int]) -> Iterator[int]:
+    """The principal up-sets up(x) = succ[x] | 1 << x, in element order."""
+    return map(or_, succ, map(lshift, repeat(1), range(len(succ))))
+
+
 def _bits(positions: Iterable[int]) -> int:
     """The mask with the given bit positions set, built in C."""
     return reduce(or_, map(lshift, repeat(1), positions), 0)
 
 
-def _label_accept(p: Poset, masks: Sequence[int], columns: list[int], ups: list[int]) -> bool:
+def _label_accept(p: Poset, masks: Sequence[int], columns: list[int]) -> bool:
     """Does the label criterion show that the images masks embed p?
 
     columns are the columns of the images up to their top bit, by
-    position, and ups the principal up-sets up(x) = succ[x] | 1 << x (see
-    check_embedding).  Write down(z) = pred[z] | 1 << z.  The criterion:
+    position (see check_embedding).  Write up(x) = succ[x] | 1 << x and
+    down(z) = pred[z] | 1 << z.  The criterion:
 
     1. B, the set of x whose up(x) is a column, is a down-set.  So Y, the
        rest, is an up-set.
@@ -663,9 +672,10 @@ def _label_accept(p: Poset, masks: Sequence[int], columns: list[int], ups: list[
     n, succ = p.n, p.succ
     size = (n + 7) // 8
     where = dict(zip(_keys(columns, size), range(len(columns))))  # a position of each column
-    up = dict(zip(_keys(ups, size), range(n)))
+    up = dict(zip(_keys(_up_sets(succ), size), range(n)))
     principal = where.keys() & up.keys()
     below = _bits(map(up.__getitem__, principal))
+    del up  # the peak comes later, with the keys of co
     rest = ((1 << n) - 1) ^ below  # Y
     others = where.keys() - principal
     if reduce(or_, map(columns.__getitem__, map(where.__getitem__, others)), 0) != rest:  # 2

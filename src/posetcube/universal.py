@@ -28,7 +28,7 @@ from .chainfamily import (
     member_of_chain_family,
     partition_count,
 )
-from .dilworth import ChainDecomposition, min_chain_decomposition
+from .dilworth import ChainDecomposition, cover_or_antichain
 # unused here, but the benchmark's tracer test wraps universal.max_antichain
 from .dilworth import max_antichain  # noqa: F401
 from .errors import FormatError, SizeMismatchError, VerificationError
@@ -121,11 +121,14 @@ def size_bound(n: int, a: int | None = None) -> int:
 def embed_with_branch(u: UniversalFamily, p: Poset) -> tuple[Embedding, str]:
     """Embed p into the family, returning the dispatch branch taken.
 
-    Posets of width at most a go through the chain cover; the rest donate
-    an a-element antichain (the smallest-indexed elements of a maximum
-    one) to the label construction, whose images live inside [m].  The
-    result is verified before being returned: order-faithfulness via
-    check_embedding and family membership of every image via a branch
+    One matching of p decides the branch (cover_or_antichain).  Posets of
+    width at most a go through its minimum chain cover; the rest donate an
+    a-element antichain, the smallest-indexed elements of the maximum one
+    read off the same matching, to the label construction, whose images
+    live inside [m]; no chains are built for them.  The antichain is the
+    one min_chain_decomposition(p).antichain gives, so the certificate is
+    too.  The result is verified before being returned: order-faithfulness
+    via check_embedding and family membership of every image via a branch
     witness, so a returned embedding is always a valid certificate.
     """
     if p.n != u.n:
@@ -134,11 +137,11 @@ def embed_with_branch(u: UniversalFamily, p: Poset) -> tuple[Embedding, str]:
     if u.a < 2:
         emb, branch = folklore_embed(p), BRANCH_FOLKLORE
     else:
-        dec = min_chain_decomposition(p)
-        if dec.width <= u.a:
+        dec, antichain = cover_or_antichain(p, u.a)
+        if dec is not None:
             emb, branch = embed_bounded_antichain(p, u.a, dec), BRANCH_CHAIN
         else:
-            chosen = tuple(sorted(dec.antichain))[: u.a]
+            chosen = antichain[: u.a]
             inner = embed_with_antichain(p, chosen)
             if inner.m != u.m:
                 raise VerificationError(
@@ -175,8 +178,10 @@ def _verify(
     w the top bit of the images (README, "What a verified embed costs").
     Membership is established through a branch-specific witness instead
     of the general predicate, so verification works at any n.
-    Chain-cover images must be per-cell prefix unions of the partition
-    given by the chain lengths of dec, which must be positive, weakly
+    dec is the minimum chain cover read off the matching on the chain
+    branch and None on the others, which build no chains.  Chain-cover
+    images must be per-cell prefix unions of the partition given by the
+    chain lengths of dec, which must be positive, weakly
     decreasing and sum to n in at most a parts; _chain_escape tests each
     image with one expression.  The other branches must produce subsets of
     [m], which the largest image decides; the images are scanned only to

@@ -16,7 +16,8 @@ reason: the library streams partitions as plain tuples, and only the
 tests build the family of a single partition.  The text paths that the
 package replaced (per-line parse_poset, per-mask writers, the closure
 that visits every arc twice, from_relations checked by the greedy cover
-picks) stay here as oracles in their old form.
+picks) stay here as oracles in their old form, as does the antichain
+read by a second BFS over the matching that a chain cover encodes.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from typing import Iterator
 
 from posetcube import CycleError, FormatError, LimitError, Poset, SizeError, SizeMismatchError
 from posetcube.chainfamily import SetFamily, _family_masks, chain_family
+from posetcube.dilworth import NO_MATE
 from posetcube.poset import (
     MAX_ELEMENTS,
     Embedding,
@@ -632,6 +634,43 @@ def konig_antichain_reference(n: int, succ, mate_left, mate_right) -> frozenset[
                 reach_left.add(w)
                 queue.append(w)
     return frozenset(reach_left - reach_right)
+
+
+def cover_antichain_reference(p: Poset, chains) -> frozenset[int]:
+    """The antichain dual to the matching that the chains encode.
+
+    The library's ChainDecomposition.antichain in its old form, its own
+    BFS over the matching rebuilt from the chains: consecutive chain
+    elements are the matched pairs and the top of each chain is an
+    unmatched left vertex.  Alternating reachability from those gives a
+    König vertex cover; the elements kept out of it on both sides are
+    pairwise incomparable for any cover, and a maximum antichain when the
+    cover is minimum.
+    """
+    succ = p.succ
+    mate_right = [NO_MATE] * p.n
+    reach_left = new_right = 0
+    for chain in chains:
+        for u, v in zip(chain, chain[1:]):
+            mate_right[v] = u
+        reach_left |= 1 << chain[-1]
+        new_right |= succ[chain[-1]]
+    reach_right = 0
+    # one bit loop per layer: each right vertex reached for the first
+    # time passes the reach on to its mate
+    while new_right:
+        reach_right |= new_right
+        reach = 0
+        while new_right:
+            v = new_right.bit_length() - 1
+            new_right ^= 1 << v
+            u = mate_right[v]
+            if u != NO_MATE:
+                reach_left |= 1 << u
+                reach |= succ[u]
+        new_right = reach & ~reach_right
+    # cover = (left not reached) + (right reached); the antichain is the rest
+    return frozenset(bit_indices(reach_left & ~reach_right))
 
 
 def fence_poset(k: int) -> Poset:

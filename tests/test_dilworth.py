@@ -10,11 +10,13 @@ from posetcube import InfeasibleError, Poset, random_poset
 from posetcube.dilworth import (
     ChainDecomposition,
     _hopcroft_karp,
+    cover_or_antichain,
     decomposition_into_exactly,
     max_antichain,
     min_chain_decomposition,
 )
 from helpers import (
+    cover_antichain_reference,
     enumerate_posets,
     fence_poset,
     has_augmenting_path,
@@ -96,7 +98,7 @@ class TestMatchingMaximality:
     def test_no_augmenting_path_remains(self):
         for seed in range(40):
             p = random_poset(14, 0.25, seed)
-            mate_left, mate_right = _hopcroft_karp(p.n, p.succ)
+            mate_left, mate_right, _ = _hopcroft_karp(p.n, p.succ)
             assert not has_augmenting_path(p.n, p.succ, mate_left, mate_right)
 
     @settings(max_examples=300, deadline=None)
@@ -119,7 +121,7 @@ class TestMatchingMaximality:
     @example(38, 0.21916507363898047, 791339)
     def test_same_mates_as_the_reference(self, n, prob, seed):
         p = random_poset(n, prob, seed)
-        mates = _hopcroft_karp(p.n, p.succ)
+        mates = _hopcroft_karp(p.n, p.succ)[:2]
         assert mates == hopcroft_karp_reference(p.n, p.succ)
         assert max_antichain(p) == konig_antichain_reference(p.n, p.succ, *mates)
 
@@ -130,7 +132,7 @@ class TestMatchingMaximality:
     @example(300, 0.3, 2)
     def test_same_mates_on_three_layer_posets(self, n, prob, seed):
         p = three_layer_poset(n, prob, seed)
-        mates = _hopcroft_karp(p.n, p.succ)
+        mates = _hopcroft_karp(p.n, p.succ)[:2]
         assert mates == hopcroft_karp_reference(p.n, p.succ)
         assert max_antichain(p) == konig_antichain_reference(p.n, p.succ, *mates)
 
@@ -152,7 +154,7 @@ class TestMatchingMaximality:
 
     @pytest.mark.parametrize("p", list(SINK_HEAVY.values()), ids=list(SINK_HEAVY))
     def test_same_mates_on_sink_heavy_posets(self, p):
-        mates = _hopcroft_karp(p.n, p.succ)
+        mates = _hopcroft_karp(p.n, p.succ)[:2]
         assert mates == hopcroft_karp_reference(p.n, p.succ)
         assert max_antichain(p) == konig_antichain_reference(p.n, p.succ, *mates)
         assert len(max_antichain(p)) == min_chain_decomposition(p).width
@@ -161,6 +163,67 @@ class TestMatchingMaximality:
         # the recursive search would nest 1200 calls deep here
         p = fence_poset(1200)
         assert len(max_antichain(p)) == min_chain_decomposition(p).width == 1201
+
+
+def assert_antichain_readings(p: Poset, a: int) -> None:
+    """Every reading of p's matching against the second BFS over its chains."""
+    dec = min_chain_decomposition(p)
+    expected = cover_antichain_reference(p, dec.chains)
+    assert max_antichain(p) == dec.antichain == expected
+    assert len(expected) == dec.width
+    cover, antichain = cover_or_antichain(p, a)
+    if dec.width <= a:
+        assert (cover.chains, antichain) == (dec.chains, ())
+    else:
+        assert (cover, antichain) == (None, tuple(sorted(expected)))
+
+
+class TestAntichainFromTheMatching:
+    """The König antichain read off the matching's last BFS, by
+    max_antichain and cover_or_antichain, and off a cover's own BFS, by
+    ChainDecomposition.antichain, equals the old second BFS over the
+    chains (helpers.cover_antichain_reference)."""
+
+    def test_every_poset_up_to_five(self):
+        for n in range(1, 6):
+            for p in enumerate_posets(n):
+                for a in range(1, n + 1):
+                    assert_antichain_readings(p, a)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 60), st.floats(0.0, 1.0), st.integers(0, 2**32), st.integers(0, 60))
+    @example(600, 3 / 600, 1, 199)  # the embed-sparse shape
+    @example(200, 0.3, 1, 66)  # the embed-dense shape
+    def test_random_posets(self, n, prob, seed, a):
+        assert_antichain_readings(random_poset(n, prob, seed), 1 + a % n)
+
+    @pytest.mark.parametrize(
+        "p, chains, expected",
+        [
+            # the BFS reaches the free right vertices 1 and 2, which have no mate
+            (Poset.chain(3), ((0,), (1,), (2,)), {0}),
+            (Poset.from_relations(4, [(0, 1), (2, 3)]), ((0,), (1,), (2, 3)), {0, 3}),
+        ],
+    )
+    def test_covers_that_are_not_minimum(self, p, chains, expected):
+        assert ChainDecomposition(p, chains).antichain == expected
+        assert cover_antichain_reference(p, chains) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 40),
+        st.floats(0.0, 1.0),
+        st.integers(0, 2**32),
+        st.randoms(use_true_random=False),
+    )
+    def test_minimum_covers_cut_into_more_chains(self, n, prob, seed, rng):
+        p = random_poset(n, prob, seed)
+        chains = []
+        for chain in min_chain_decomposition(p).chains:
+            cuts = sorted(rng.sample(range(1, len(chain)), rng.randrange(len(chain))))
+            chains += [chain[i:j] for i, j in zip([0, *cuts], [*cuts, len(chain)])]
+        chains = tuple(chains)
+        assert ChainDecomposition(p, chains).antichain == cover_antichain_reference(p, chains)
 
 
 class TestDecompositionIntoExactly:

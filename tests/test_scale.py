@@ -1,10 +1,10 @@
 """Opt-in scale targets: n = 5000 and dense n = 2000 through parse,
-verified embed and write, the verified embed of the n = 8000 antichain,
-dense n = 2000 through parse, ``pred`` and ``covers``, and the parse of
-every comparable pair of a dense n = 1000 poset.
+verified embed and write, the verified embeds of the n = 8000 antichain
+and chain, dense n = 2000 through parse, ``pred`` and ``covers``, and the
+parse of every comparable pair of a dense n = 1000 poset.
 
 Each pipeline case runs ``parse_poset`` -> ``embed`` (which verifies) ->
-``write_embedding`` in a fresh interpreter, and the n = 8000 case its
+``write_embedding`` in a fresh interpreter, and the n = 8000 cases their
 embed alone.  The child reads its peak RSS as ``VmHWM`` in
 ``/proc/self/status`` just before it exits, which counts its own pages
 only; ``ru_maxrss`` would also count the pages of the process that
@@ -52,11 +52,12 @@ p = parse_poset(text)
 certificate = write_embedding(embed(build_universal(p.n), p))
 seconds = time.perf_counter() - start
 """ + PEAK
-ANTICHAIN_EMBED = """
+EMBED = """
 import sys, time
 from posetcube import Poset, build_universal, embed
 
-p = Poset.antichain(int(sys.argv[1]))
+shape, n = sys.argv[1].split()
+p = getattr(Poset, shape)(int(n))
 start = time.perf_counter()
 embed(build_universal(p.n), p)
 seconds = time.perf_counter() - start
@@ -109,15 +110,26 @@ def test_dense_2000_under_half_a_second(tmp_path):
     assert seconds < 0.5
 
 
-def test_antichain_8000_verified_embed_under_0_6_s_and_150_mb():
+def test_antichain_8000_verified_embed_under_0_6_s_and_55_mb():
     # the label branch: check_embedding's label accept recognises the
-    # certificate from the poset alone.  0.20-0.26 s and 61 MB on a 2-core
-    # Xeon with CPython 3.11.7; with the byte-block pass instead it took
-    # 1.07-1.14 s (the check 0.96-1.04 s) and 44 MB.  The time bound
-    # leaves a little over 2x
-    seconds, rss_mb = run_child(ANTICHAIN_EMBED, "8000")
+    # certificate from the poset alone.  0.20-0.26 s on a 2-core Xeon with
+    # CPython 3.11.7; with the byte-block pass instead it took 1.07-1.14 s
+    # (the check 0.96-1.04 s).  The time bound leaves a little over 2x.
+    # The peak is 46 MB; it was 61 MB while the check held the up-sets as
+    # an int list and as bytes keys at once
+    seconds, rss_mb = run_child(EMBED, "antichain 8000")
     assert seconds < 0.6
-    assert rss_mb < 150
+    assert rss_mb < 55
+
+
+def test_chain_8000_verified_embed_under_0_3_s():
+    # the chain-cover branch: check_embedding's up-set accept compares the
+    # sorted columns with the sorted up-sets.  0.15-0.16 s on a 2-core Xeon
+    # with CPython 3.11.7; comparing them as sets of ints took 0.29-0.34 s,
+    # since the up-sets 2^n - 2^x of a chain fall into 61 hash classes.
+    # The bound leaves about 2x
+    seconds, _ = run_child(EMBED, "chain 8000")
+    assert seconds < 0.3
 
 
 def test_dense_2000_parse_pred_covers_under_half_a_second():

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 from collections import Counter
+from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import posetcube.chainfamily
+import posetcube.dilworth
 import posetcube.poset
 import posetcube.universal
 from posetcube import (
@@ -29,7 +32,7 @@ from posetcube import (
     size_bound,
     write_embedding,
 )
-from posetcube.antichain import min_ell
+from posetcube.antichain import embed_with_antichain, min_ell
 from posetcube.chainfamily import (
     chain_family,
     embed_bounded_antichain,
@@ -37,7 +40,12 @@ from posetcube.chainfamily import (
     partition_count,
     partitions,
 )
-from posetcube.dilworth import ChainDecomposition, min_chain_decomposition
+from posetcube.dilworth import (
+    ChainDecomposition,
+    _alternating_bfs,
+    _hopcroft_karp,
+    min_chain_decomposition,
+)
 from posetcube.poset import Embedding, folklore_embed
 from posetcube.universal import (
     BRANCH_ANTICHAIN,
@@ -46,7 +54,13 @@ from posetcube.universal import (
     _chain_escape,
     _verify,
 )
-from helpers import cardinality_materialized, enumerate_posets, fence_poset, naive_chain_family
+from helpers import (
+    cardinality_materialized,
+    cover_antichain_reference,
+    enumerate_posets,
+    fence_poset,
+    naive_chain_family,
+)
 
 
 class TestBuildUniversal:
@@ -216,6 +230,72 @@ class TestEmbed:
         assert emb.m == n
         for bits in emb.masks:
             assert membership(u, SubsetMask(n, bits))
+
+
+@contextmanager
+def counting():
+    """Mocks that wrap the label construction, ChainDecomposition and the
+    alternating BFS, counting their calls inside the block."""
+    with (
+        mock.patch.object(
+            posetcube.universal, "embed_with_antichain", wraps=embed_with_antichain
+        ) as labels,
+        mock.patch.object(posetcube.dilworth, "ChainDecomposition", wraps=ChainDecomposition) as covers,
+        mock.patch.object(posetcube.dilworth, "_alternating_bfs", wraps=_alternating_bfs) as bfs,
+    ):
+        yield labels, covers, bfs
+
+
+class TestOneMatching:
+    """embed_with_branch reads its branch off one matching: a narrow poset
+    gets its one minimum chain cover, a wide one the least a elements of
+    the antichain that the old second BFS over the chains gave
+    (helpers.cover_antichain_reference), with no chains and no BFS beyond
+    the matching's own."""
+
+    @staticmethod
+    def assert_one_matching(counters, p: Poset, a: int) -> str:
+        labels, covers, bfs = counters
+        dec = min_chain_decomposition(p)
+        expected = tuple(sorted(cover_antichain_reference(p, dec.chains)))[:a]
+        bfs.reset_mock()
+        _hopcroft_karp(p.n, p.succ)
+        matching_runs = bfs.call_count
+        for counter in counters:
+            counter.reset_mock()
+        branch = embed_with_branch(build_universal(p.n, a), p)[1]
+        chosen = labels.call_args.args[1] if labels.called else None
+        if dec.width <= a:
+            assert (branch, chosen, covers.call_count) == (BRANCH_CHAIN, None, 1)
+        else:
+            assert (branch, chosen, covers.call_count) == (BRANCH_ANTICHAIN, expected, 0)
+        assert bfs.call_count == matching_runs
+        return branch
+
+    def test_every_poset_up_to_five(self):
+        with counting() as counters:
+            for n in range(2, 6):
+                for p in enumerate_posets(n):
+                    for a in range(2, n + 1):
+                        self.assert_one_matching(counters, p, a)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 60), st.floats(0.0, 1.0), st.integers(0, 2**32), st.integers(0, 60))
+    def test_random_posets(self, n, prob, seed, a):
+        with counting() as counters:
+            self.assert_one_matching(counters, random_poset(n, prob, seed), 2 + a % (n - 1))
+
+    @pytest.mark.parametrize(
+        "p, branch",
+        [
+            (random_poset(600, 3 / 600, 1), BRANCH_ANTICHAIN),  # the embed-sparse shape
+            (fence_poset(300), BRANCH_ANTICHAIN),  # one augmenting path through everything
+            (random_poset(200, 0.3, 1), BRANCH_CHAIN),  # the embed-dense shape
+        ],
+    )
+    def test_benchmark_shapes(self, p, branch):
+        with counting() as counters:
+            assert self.assert_one_matching(counters, p, build_universal(p.n).a) == branch
 
 
 class TestBlockPassOnlyForLabels:
