@@ -357,6 +357,42 @@ class TestCanonicalSets:
         with pytest.raises(FormatError, match=r"ground element 13 outside \[12\]"):
             SubsetMask.parse(12, "13,1")
 
+    # two bad sets, on the second and third line of a body: whatever their
+    # errors, the one on the earlier line is named
+    FIRST_BAD_SET = {
+        "canonical-then-element": ("2,1", "1,x", "ground set '2,1' is not written as '1,2'"),
+        "element-then-canonical": ("1,x", "2,1", "bad ground element 'x'"),
+        "canonical-then-range": ("2,1", "13", "ground set '2,1' is not written as '1,2'"),
+        "range-then-canonical": ("13", "2,1", "ground element 13 outside [12]"),
+    }
+
+    @pytest.mark.parametrize("case", list(FIRST_BAD_SET.values()), ids=list(FIRST_BAD_SET))
+    def test_first_bad_set_is_named(self, case):
+        first, later, message = case
+        for parse, text in [
+            (parse_embedding, f"n=3 m=12\n0: 1\n1: {first}\n2: {later}\n"),
+            (parse_family, f"m=12 count=3\n1\n{first}\n{later}\n"),
+        ]:
+            with pytest.raises(FormatError) as info:
+                parse(text)
+            assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("0: 2,1\n1: 1\nx: 1\n", "ground set '2,1' is not written as '1,2'"),
+            ("0: 2,1\n5: 1\n2: 1\n", "ground set '2,1' is not written as '1,2'"),
+            ("0: 1,x\n" + "9" * 5000 + ": 1\n2: 1\n", "bad ground element 'x'"),
+            ("0: 1\nx: 1\n2: 2,1\n", "expected image line for element 1, got 'x: 1'"),
+            ("0: 1\n5: 1\n2: 1,x\n", "expected image line for element 1, got '5: 1'"),
+        ],
+        ids=["set-then-line", "set-then-index", "set-then-long-index", "line-then-set", "index-then-set"],
+    )
+    def test_first_bad_image_line_is_named(self, body, message):
+        with pytest.raises(FormatError) as info:
+            parse_embedding(f"n=3 m=12\n{body}")
+        assert str(info.value) == message
+
 
 # A message that quotes an input line quotes at most its first 40
 # characters: (parse, text around {line}, the message around the quote, a
