@@ -10,12 +10,9 @@ from .chainfamily import parse_family, write_family
 from .errors import (
     CycleError,
     FormatError,
-    InfeasibleError,
     LimitError,
     MemoryLimitError,
-    NotAnAntichainError,
     PosetCubeError,
-    SizeError,
     SizeMismatchError,
     VerificationError,
 )
@@ -43,13 +40,10 @@ __version__ = "0.1.0"
 __all__ = [
     "CycleError",
     "FormatError",
-    "InfeasibleError",
     "LimitError",
     "MemoryLimitError",
-    "NotAnAntichainError",
     "Poset",
     "PosetCubeError",
-    "SizeError",
     "SizeMismatchError",
     "SubsetMask",
     "VerificationError",

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from itertools import islice
 
-from .errors import NotAnAntichainError, SizeError
 from .poset import Embedding, Poset, bit_indices, transpose
 
 
@@ -51,8 +50,7 @@ def classify(p: Poset, antichain: frozenset[int] | tuple[int, ...]) -> tuple[int
     element (the union of their pred masks), above everything else.  No
     below element also sits over an antichain element, else two antichain
     elements would be comparable through it.  Raises ValueError on an
-    element out of range or listed twice, NotAnAntichainError on a
-    comparable pair.
+    element out of range or listed twice, and on a comparable pair.
     """
     chosen = 0
     for y in antichain:
@@ -66,7 +64,7 @@ def classify(p: Poset, antichain: frozenset[int] | tuple[int, ...]) -> tuple[int
     for y in bit_indices(chosen):
         if succ[y] & chosen:
             other = next(bit_indices(succ[y] & chosen))
-            raise NotAnAntichainError(f"elements {y} and {other} are comparable")
+            raise ValueError(f"elements {y} and {other} are comparable")
         below |= pred[y]
     return below, chosen, ((1 << p.n) - 1) ^ below ^ chosen
 
@@ -95,7 +93,7 @@ def embed_with_antichain(
     a = chosen.bit_count()
     ell = min_ell(a)
     if a < 2:
-        raise SizeError("antichain embedding needs at least two elements")
+        raise ValueError("antichain embedding needs at least two elements")
     rows = [0] * p.n
     for y, label in zip(bit_indices(chosen), colex_half_subsets(ell, a)):
         rows[y] = label

@@ -20,7 +20,7 @@ from collections.abc import Iterator
 from .dilworth import ChainDecomposition, decomposition_into_exactly
 from .errors import FormatError, LimitError, MemoryLimitError
 from .poset import (
-    MAX_ELEMENTS, Embedding, Frozen, Poset, SubsetMask, mask_from_text, masks_to_text, transpose
+    MAX_ELEMENTS, Embedding, Frozen, Poset, SubsetMask, masks_from_text, masks_to_text, transpose
 )
 
 PARTITION_SCAN_CAP = 40
@@ -257,7 +257,6 @@ def parse_family(text: str) -> SetFamily:
     if len(body) != count:
         raise FormatError(f"header promises {count} sets, file has {len(body)}")
     try:
-        masks = tuple(mask_from_text(line, m) for line in body)
-        return SetFamily(m, masks)
+        return SetFamily(m, masks_from_text(body, m))
     except ValueError as exc:
         raise FormatError(str(exc)) from None

@@ -46,7 +46,7 @@ from functools import cached_property
 from itertools import chain as iter_chain, compress, repeat
 from operator import and_, rshift
 
-from .errors import InfeasibleError, VerificationError
+from .errors import VerificationError
 from .poset import Frozen, Poset, _bits, _selectors
 
 NO_MATE = -1
@@ -292,7 +292,5 @@ def decomposition_into_exactly(p: Poset, a: int) -> ChainDecomposition:
     """
     dec = min_chain_decomposition(p)
     if dec.width > a:
-        raise InfeasibleError(
-            f"width {dec.width} exceeds requested chain count {a}"
-        )
+        raise ValueError(f"width {dec.width} exceeds requested chain count {a}")
     return dec

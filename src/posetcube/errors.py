@@ -17,18 +17,6 @@ class MemoryLimitError(PosetCubeError):
     """Materializing a set family would exceed the configured cap."""
 
 
-class InfeasibleError(PosetCubeError):
-    """No chain decomposition with the requested number of chains exists."""
-
-
-class NotAnAntichainError(PosetCubeError):
-    """The given elements are not pairwise incomparable."""
-
-
-class SizeError(PosetCubeError):
-    """Antichain is too small for the labelled construction."""
-
-
 class SizeMismatchError(PosetCubeError):
     """Poset size does not match its companion object."""
 

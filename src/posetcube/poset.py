@@ -11,9 +11,8 @@ lattice are 1-indexed wherever they are displayed or serialized.
 from __future__ import annotations
 
 import re
-import threading
 from collections.abc import Iterable, Iterator, Sequence
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from itertools import chain, compress, repeat
 from operator import and_, getitem, lshift, or_, rshift
 
@@ -35,11 +34,6 @@ _DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 _SELECTORS = tuple(
     format(value, "08b").encode()[::-1].translate(_DIGIT_VALUES) for value in range(256)
 )
-
-# "1", "2", ...: the text of each ground position, grown to the widest mask
-# rendered so far and never shrunk or rewritten.
-_POSITIONS: list[str] = []
-_POSITIONS_LOCK = threading.Lock()
 
 
 class Frozen:
@@ -101,51 +95,39 @@ def _selectors(bits: int) -> bytes:
     return format(bits, "b").encode()[::-1].translate(_DIGIT_VALUES)
 
 
-def _positions(width: int) -> list[str]:
-    """_POSITIONS, grown to hold the text of every position below width."""
-    if len(_POSITIONS) < width:
-        with _POSITIONS_LOCK:
-            _POSITIONS.extend(map(str, range(len(_POSITIONS) + 1, width + 1)))
-    return _POSITIONS
+@cache
+def _block_positions(b: int) -> tuple[str, ...]:
+    """The text of ground positions 8b+1..8b+8, those of byte block b."""
+    return tuple(map(str, range(8 * b + 1, 8 * b + 9)))
 
 
 def mask_to_text(bits: int) -> str:
-    """Render a ground-set bitmask as 1-indexed elements, ``-`` if empty.
-
-    The binary digits of bits select, in C, from a shared list of position
-    strings, so no Python step runs per set bit.  masks_to_text renders
-    many masks at once.
-    """
-    if bits == 0:
-        return "-"
-    return ",".join(compress(_positions(bits.bit_length()), _selectors(bits)))
+    """Render a ground-set bitmask as 1-indexed elements, ``-`` if empty."""
+    return next(masks_to_text((bits,)))
 
 
 def masks_to_text(masks: Sequence[int]) -> Iterator[str]:
-    """mask_to_text of every mask, built from byte-block text tables.
+    """The one set-text renderer: each bitmask as 1-indexed elements, or ``-``.
 
     The masks are packed into little-endian bytes, byte b of a mask
-    holding ground positions 8b+1..8b+8 (the layout of _byte_columns).
-    For each byte value that occurs in block b, the text of its set
-    positions is built once, and each mask joins the fragments of its
-    nonzero bytes.  So the Python steps are one per mask and one per
-    distinct (block, byte value), never one per set bit.  The tables live
-    for this call only; they hold at most 256 entries per block.  The
-    texts are yielded one at a time, so a caller that wraps each in a
-    line never holds two copies of the whole text.
+    holding positions 8b+1..8b+8 (the layout of _byte_columns).  For each
+    byte value that occurs in block b, the text of its set positions is
+    built once, and each mask joins the fragments of its nonzero bytes:
+    one Python step per mask and one per distinct (block, byte value),
+    never one per set bit.  The texts are yielded one at a time, so a
+    caller that wraps each in a line never holds two copies of the text.
     """
     width = max(masks, default=0).bit_length()
     if width == 0:
         return repeat("-", len(masks))
-    positions = _positions(width)
     size = (width + 7) // 8
     data = _packed(masks, size)
     tables = []
     for b in range(size):
         table = [""] * 256
-        block_positions = positions[8 * b : 8 * b + 8]
+        positions = _block_positions(b)
         for value in set(data[b::size]):
-            table[value] = ",".join(compress(block_positions, _SELECTORS[value]))
+            table[value] = ",".join(compress(positions, _SELECTORS[value]))
         tables.append(table)
     rows = (data[i : i + size] for i in range(0, len(data), size))
     return (",".join(filter(None, map(getitem, tables, row))) or "-" for row in rows)
@@ -217,14 +199,35 @@ def transpose(rows: Sequence[int], width: int) -> tuple[int, ...]:
 
 
 def mask_from_text(text: str, m: int) -> int:
-    """Parse the output of :func:`mask_to_text` back into a bitmask.
+    """Parse one set written by :func:`masks_to_text` (see masks_from_text)."""
+    return masks_from_text((text,), m)[0]
+
+
+def masks_from_text(texts: Iterable[str], m: int) -> tuple[int, ...]:
+    """Parse sets written by :func:`masks_to_text` back into bitmasks.
 
     Only that output is accepted: ascending decimal elements without
-    repeats, signs, leading zeros, underscores or inner spaces.
+    repeats, signs, leading zeros, underscores or inner spaces, checked by
+    one masks_to_text call.  The first bad line is named.
     """
-    text = text.strip()
-    if text == "-":
-        return 0
+    lines: list[str] = []
+    masks: list[int] = []
+    try:
+        for text in texts:
+            text = text.strip()
+            masks.append(0 if text == "-" else _elements_mask(text, m))
+            lines.append(text)
+    except FormatError:
+        masks_from_text(lines, m)  # an earlier line in the wrong form comes first
+        raise
+    for text, canonical in zip(lines, masks_to_text(masks)):
+        if text != canonical:
+            raise FormatError(f"ground set {text[:40]!r} is not written as {canonical[:40]!r}")
+    return tuple(masks)
+
+
+def _elements_mask(text: str, m: int) -> int:
+    """The mask of text, comma-separated elements of [m]."""
     # binary digits, most significant first, read as one int at the end:
     # OR-ing in 1 << (element - 1) would cost a full-width big-int step each
     digits = bytearray(b"0") * m
@@ -236,11 +239,7 @@ def mask_from_text(text: str, m: int) -> int:
         if not 1 <= element <= m:
             raise FormatError(f"ground element {element} outside [{m}]")
         digits[-element] = 49  # ord("1") at the digit of bit element - 1
-    bits = int(digits[digits.find(49):], 2)  # from the top set bit down
-    canonical = mask_to_text(bits)
-    if canonical != text:
-        raise FormatError(f"ground set {text[:40]!r} is not written as {canonical[:40]!r}")
-    return bits
+    return int(digits[digits.find(49):], 2)  # from the top set bit down
 
 
 class SubsetMask(Frozen):

@@ -20,6 +20,7 @@ injectivity.  Each construction's docstring lists its columns.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 
 from .antichain import embed_with_antichain, min_ell
 from .chainfamily import (
@@ -40,7 +41,7 @@ from .poset import (
     SubsetMask,
     check_embedding,
     folklore_embed,
-    mask_from_text,
+    masks_from_text,
     masks_to_text,
     parse_int,
 )
@@ -244,15 +245,21 @@ def parse_embedding(text: str) -> Embedding:
     if max(n, m) > MAX_ELEMENTS:
         raise FormatError(f"header n={n} m={m} exceeds {MAX_ELEMENTS}")
     body = lines[1:]
+    del lines  # body alone holds the lines, so _image_texts can drop each one
     if len(body) != n:
         raise FormatError(f"header promises {n} images, file has {len(body)}")
-    masks = []
+    masks = masks_from_text(_image_texts(body), m)
+    try:
+        return Embedding(m, masks)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
+
+
+def _image_texts(body: list[str]) -> Iterator[str]:
+    """The set text of each line 'j: elements' of body; FormatError at any other line."""
     for j, line in enumerate(body):
         match = _IMAGE_RE.match(line)
         if not match or parse_int(match.group(1), line) != j:
             raise FormatError(f"expected image line for element {j}, got {line[:40]!r}")
-        masks.append(mask_from_text(match.group(2), m))
-    try:
-        return Embedding(m, tuple(masks))
-    except ValueError as exc:
-        raise FormatError(str(exc)) from None
+        body[j] = match.group(2)  # the set text replaces its line: one copy of the file, not two
+        yield body[j]

@@ -29,7 +29,7 @@ from collections import deque
 from itertools import combinations, product
 from typing import Iterator
 
-from posetcube import CycleError, FormatError, LimitError, Poset, SizeError, SizeMismatchError
+from posetcube import CycleError, FormatError, LimitError, Poset, SizeMismatchError
 from posetcube.chainfamily import SetFamily, _family_masks, chain_family
 from posetcube.dilworth import NO_MATE
 from posetcube.poset import (
@@ -253,7 +253,7 @@ def embed_with_antichain_reference(p: Poset, antichain) -> Embedding:
     """
     split = split_reference(p, antichain)
     if len(split.antichain) < 2:
-        raise SizeError("antichain embedding needs at least two elements")
+        raise ValueError("antichain embedding needs at least two elements")
     b = split.b
     window = ((1 << split.ell) - 1) << b
     above_base = b + split.ell

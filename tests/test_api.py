@@ -29,19 +29,16 @@ PUBLIC = {
     "check_embedding",
     "CycleError",
     "FormatError",
-    "InfeasibleError",
     "LimitError",
     "MemoryLimitError",
-    "NotAnAntichainError",
     "PosetCubeError",
-    "SizeError",
     "SizeMismatchError",
     "VerificationError",
 }
 
 
 def test_all_is_exactly_the_public_names():
-    assert len(posetcube.__all__) == len(PUBLIC) == 26
+    assert len(posetcube.__all__) == len(PUBLIC) == 23
     assert set(posetcube.__all__) == PUBLIC
 
 

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from posetcube import (
     FormatError,
-    InfeasibleError,
     LimitError,
     MemoryLimitError,
     Poset,
@@ -295,7 +294,7 @@ class TestEmbedBoundedAntichain:
         assert list(emb.masks) == [0b0001, 0b0010, 0b0100, 0b1000]
 
     def test_width_above_budget_rejected(self):
-        with pytest.raises(InfeasibleError):
+        with pytest.raises(ValueError, match="width 3 exceeds requested chain count 2"):
             embed_bounded_antichain(Poset.antichain(3), 2)
 
     def test_given_cover_must_fit(self):

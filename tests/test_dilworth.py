@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from posetcube import InfeasibleError, Poset, random_poset
+from posetcube import Poset, random_poset
 from posetcube.dilworth import (
     ChainDecomposition,
     _hopcroft_karp,
@@ -234,7 +234,7 @@ class TestDecompositionIntoExactly:
         assert decomposition_into_exactly(Poset.chain(4), 3).width == 1
 
     def test_infeasible_budget(self):
-        with pytest.raises(InfeasibleError):
+        with pytest.raises(ValueError, match="width 2 exceeds requested chain count 1"):
             decomposition_into_exactly(Poset.antichain(2), 1)
 
 

@@ -17,8 +17,8 @@ from posetcube import build_universal, embed, random_poset, write_embedding, wri
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # Modules the CLI does without: dataclasses pulls in inspect, ast and dis,
-# and the other three are needed by no command.
-HEAVY = ("dataclasses", "inspect", "ast", "dis", "typing", "pathlib", "random")
+# and the other four are needed by no command.
+HEAVY = ("dataclasses", "inspect", "ast", "dis", "typing", "pathlib", "random", "threading")
 
 
 def _python(*args: str) -> subprocess.CompletedProcess:
