@@ -30,6 +30,7 @@ _PAIR_RE = re.compile(r"^(\d+)\s*<\s*(\d+)$", re.MULTILINE | re.ASCII)
 # word, byte r being row r (Hacker's Delight, section 7-3): shift and mask.
 _TILE_SWAPS = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
 _DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+_SLICE = 256  # sets per render in _check_canonical, to bound its memory
 # _SELECTORS[value][k] is bit k of the byte value, as a 0 or 1 byte
 _SELECTORS = tuple(
     format(value, "08b").encode()[::-1].translate(_DIGIT_VALUES) for value in range(256)
@@ -101,21 +102,14 @@ def _block_positions(b: int) -> tuple[str, ...]:
     return tuple(map(str, range(8 * b + 1, 8 * b + 9)))
 
 
-def mask_to_text(bits: int) -> str:
-    """Render a ground-set bitmask as 1-indexed elements, ``-`` if empty."""
-    return next(masks_to_text((bits,)))
-
-
 def masks_to_text(masks: Sequence[int]) -> Iterator[str]:
     """The one set-text renderer: each bitmask as 1-indexed elements, or ``-``.
 
-    The masks are packed into little-endian bytes, byte b of a mask
-    holding positions 8b+1..8b+8 (the layout of _byte_columns).  For each
-    byte value that occurs in block b, the text of its set positions is
-    built once, and each mask joins the fragments of its nonzero bytes:
-    one Python step per mask and one per distinct (block, byte value),
-    never one per set bit.  The texts are yielded one at a time, so a
-    caller that wraps each in a line never holds two copies of the text.
+    The masks are packed into little-endian bytes, byte b holding positions
+    8b+1..8b+8 (as in _byte_columns).  The text of each byte value
+    that occurs in block b is built once, and each mask joins those of its
+    nonzero bytes, so no Python step runs per set bit.  The texts are
+    yielded one at a time: a caller never holds two copies of the text.
     """
     width = max(masks, default=0).bit_length()
     if width == 0:
@@ -199,7 +193,7 @@ def transpose(rows: Sequence[int], width: int) -> tuple[int, ...]:
 
 
 def mask_from_text(text: str, m: int) -> int:
-    """Parse one set written by :func:`masks_to_text` (see masks_from_text)."""
+    """masks_from_text of the one set text."""
     return masks_from_text((text,), m)[0]
 
 
@@ -207,8 +201,8 @@ def masks_from_text(texts: Iterable[str], m: int) -> tuple[int, ...]:
     """Parse sets written by :func:`masks_to_text` back into bitmasks.
 
     Only that output is accepted: ascending decimal elements without
-    repeats, signs, leading zeros, underscores or inner spaces, checked by
-    one masks_to_text call.  The first bad line is named.
+    repeats, signs, leading zeros, underscores or inner spaces, checked
+    by rendering the masks.  The first bad line is named.
     """
     lines: list[str] = []
     masks: list[int] = []
@@ -218,12 +212,18 @@ def masks_from_text(texts: Iterable[str], m: int) -> tuple[int, ...]:
             masks.append(0 if text == "-" else _elements_mask(text, m))
             lines.append(text)
     except FormatError:
-        masks_from_text(lines, m)  # an earlier line in the wrong form comes first
+        _check_canonical(lines, masks)  # an earlier line in the wrong form comes first
         raise
-    for text, canonical in zip(lines, masks_to_text(masks)):
-        if text != canonical:
-            raise FormatError(f"ground set {text[:40]!r} is not written as {canonical[:40]!r}")
+    _check_canonical(lines, masks)
     return tuple(masks)
+
+
+def _check_canonical(lines: list[str], masks: list[int]) -> None:
+    """FormatError at the first line that is not the text of its mask."""
+    for i in range(0, len(masks), _SLICE):
+        for text, canonical in zip(lines[i : i + _SLICE], masks_to_text(masks[i : i + _SLICE])):
+            if text != canonical:
+                raise FormatError(f"ground set {text[:40]!r} is not written as {canonical[:40]!r}")
 
 
 def _elements_mask(text: str, m: int) -> int:
@@ -287,7 +287,7 @@ class SubsetMask(Frozen):
         return self.bits.bit_count()
 
     def __str__(self) -> str:
-        return mask_to_text(self.bits)
+        return next(masks_to_text((self.bits,)))
 
 
 class Embedding(Frozen):

@@ -38,7 +38,6 @@ from posetcube.poset import (
     EmbeddingCheck,
     Frozen,
     bit_indices,
-    mask_to_text,
     transitive_closure,
 )
 
@@ -341,18 +340,18 @@ def mask_to_text_reference(bits: int) -> str:
 
 
 def write_embedding_reference(emb: Embedding) -> str:
-    """The embedding text format, one mask_to_text call per image."""
+    """The embedding text format, one mask_to_text_reference call per image."""
     lines = [f"n={emb.n} m={emb.m}"]
     for j, bits in enumerate(emb.masks):
-        lines.append(f"{j}: {mask_to_text(bits)}")
+        lines.append(f"{j}: {mask_to_text_reference(bits)}")
     lines.append("")
     return "\n".join(lines)
 
 
 def write_family_reference(family: SetFamily) -> str:
-    """The family text format, one mask_to_text call per set."""
+    """The family text format, one mask_to_text_reference call per set."""
     lines = [f"m={family.m} count={len(family)}"]
-    lines.extend(mask_to_text(bits) for bits in family.masks)
+    lines.extend(mask_to_text_reference(bits) for bits in family.masks)
     lines.append("")
     return "\n".join(lines)
 

@@ -2,7 +2,7 @@
 
 check_embedding (its up-set and label accepts and its byte-block pass), the
 three constructions (folklore_embed, embed_bounded_antichain,
-embed_with_antichain), transpose and its 8x8 tile kernel, mask_to_text
+embed_with_antichain), transpose and its 8x8 tile kernel, masks_to_text
 and Poset.pred work on whole rows and byte blocks; Poset validation and
 Poset.covers take one step per greedy cover pick; colex_half_subsets
 filters masks by popcount.  The oracles
@@ -37,7 +37,7 @@ from posetcube.poset import (
     _tile_swaps,
     folklore_embed,
     mask_from_text,
-    mask_to_text,
+    masks_to_text,
     transpose,
 )
 from posetcube.universal import BRANCH_ANTICHAIN
@@ -603,7 +603,7 @@ class TestMaskText:
         "bits", [0, 1, 1 << 65535, (1 << 65536) - 1], ids=["empty", "one", "top", "full"]
     )
     def test_extremes(self, bits):
-        text = mask_to_text(bits)
+        (text,) = masks_to_text((bits,))
         assert text == mask_to_text_reference(bits)
         assert mask_from_text(text, 65536) == bits
 
@@ -613,7 +613,7 @@ class TestMaskText:
         bits = rng.getrandbits(width)
         for _ in range(thinning):  # halve the density each round
             bits &= rng.getrandbits(width)
-        text = mask_to_text(bits)
+        (text,) = masks_to_text((bits,))
         assert text == mask_to_text_reference(bits)
         assert mask_from_text(text, width) == bits
 

@@ -20,7 +20,7 @@ from posetcube import (
     random_poset,
     write_poset,
 )
-from posetcube.poset import MAX_ELEMENTS, Embedding, folklore_embed
+from posetcube.poset import _SLICE, MAX_ELEMENTS, Embedding, folklore_embed
 from helpers import (
     check_embedding_naive,
     enumerate_posets,
@@ -329,7 +329,7 @@ class TestAsciiNumbers:
 
 
 class TestCanonicalSets:
-    """A ground set parses only in the exact form mask_to_text writes."""
+    """A ground set parses only in the exact form masks_to_text writes."""
 
     NOT_CANONICAL = ["1_0", "+3", "03", "1, 3", "1 ,3", "\u0663", "2,1", "1,1", "3,3,10"]
 
@@ -372,6 +372,23 @@ class TestCanonicalSets:
         for parse, text in [
             (parse_embedding, f"n=3 m=12\n0: 1\n1: {first}\n2: {later}\n"),
             (parse_family, f"m=12 count=3\n1\n{first}\n{later}\n"),
+        ]:
+            with pytest.raises(FormatError) as info:
+                parse(text)
+            assert str(info.value) == message
+
+    @pytest.mark.parametrize("case", list(FIRST_BAD_SET.values()), ids=list(FIRST_BAD_SET))
+    @pytest.mark.parametrize(
+        "where", [(0, 2 * _SLICE), (_SLICE - 1, _SLICE), (_SLICE, 2 * _SLICE - 1), (2 * _SLICE - 1, 2 * _SLICE)]
+    )
+    def test_first_bad_set_is_named_across_slices(self, case, where):
+        # canonical form is checked one slice of _SLICE lines at a time
+        first, later, message = case
+        sets = ["1"] * (2 * _SLICE + 3)
+        sets[where[0]], sets[where[1]] = first, later
+        for parse, text in [
+            (parse_embedding, f"n={len(sets)} m=12\n" + "".join(f"{j}: {s}\n" for j, s in enumerate(sets))),
+            (parse_family, f"m=12 count={len(sets)}\n" + "".join(f"{s}\n" for s in sets)),
         ]:
             with pytest.raises(FormatError) as info:
                 parse(text)

@@ -177,17 +177,18 @@ def test_every_comparable_pair_of_a_dense_1000_parses_under_2_s():
     assert seconds < 2
 
 
-def test_sparse_5000_certificate_parses_back_under_2_s_and_70_mb(tmp_path):
+def test_sparse_5000_certificate_parses_back_under_2_s_and_58_mb(tmp_path):
     # 3,951,730 elements in 19.8 MB of text, read element by element and
-    # checked for canonical form by one render of all 5000 sets.  1.0-1.4 s
-    # on a 2-core Xeon with CPython 3.11.7, but single runs on a shared
-    # host reach 1.9 s, so the best of three is bounded.  The peak is
-    # 61 MB, most of it the read of the file (54 MB with one render per
-    # line); holding each image's set text beside its line took it to 78 MB
+    # checked for canonical form by rendering the sets 256 at a time.
+    # 1.0-1.4 s on a 2-core Xeon with CPython 3.11.7, but single runs on a
+    # shared host reach 1.9 s, so the best of three is bounded.  The peak
+    # is 55.7 MB, most of it the read of the file (53.9 MB with one render
+    # per line); one render of all 5000 sets took it to 60.8 MB, and holding
+    # each image's set text beside its line to 78 MB
     certificate = write_embedding(embed(build_universal(5000), random_poset(5000, 4 / 5000, 1)))
     path = tmp_path / "embedding.txt"
     path.write_text(certificate)
     seconds, rss_mb = run_child(PARSE_EMBEDDING, str(path))
     assert write_embedding(parse_embedding(certificate)) == certificate
     assert seconds < 2
-    assert rss_mb < 70
+    assert rss_mb < 58
