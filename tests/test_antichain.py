@@ -153,6 +153,24 @@ class TestAntichainSplitValidation:
         (Poset.antichain(3), (-1, 0), "element -1 outside poset range"),
         (FAN, (0, 3), "elements 0 and 3 are comparable"),
         (FAN, (1, 2, 3), "elements 1 and 3 are comparable"),
+        # range and repeats in the order given, then the least element below
+        # another, paired with the least antichain element over it
+        (Poset.antichain(3), (7, 0, 0), "element 7 outside poset range"),
+        (Poset.antichain(3), (0, 0, 7), "element 0 listed twice"),
+        (Poset.antichain(3), (0, 3, -1), "element 3 outside poset range"),
+        (Poset.antichain(3), (0, -1, 3), "element -1 outside poset range"),
+        (Poset.antichain(3), (2, 1, 2, 1), "element 2 listed twice"),
+        (Poset.antichain(3), iter((1, 0, 1)), "element 1 listed twice"),
+        (Poset.chain(3), (0, 1, 1), "element 1 listed twice"),
+        (Poset.chain(3), (0, 1, 5), "element 5 outside poset range"),
+        (Poset.chain(4), (3, 0), "elements 0 and 3 are comparable"),
+        (Poset.chain(4), (3, 2, 0), "elements 0 and 2 are comparable"),
+        (FAN, (3, 2, 1), "elements 1 and 3 are comparable"),
+        (
+            Poset.from_relations(4, [(2, 3), (1, 0)]),
+            (3, 2, 1, 0),
+            "elements 1 and 0 are comparable",
+        ),
     ],
     ids=[
         "duplicate",
@@ -163,10 +181,22 @@ class TestAntichainSplitValidation:
         "negative",
         "comparable",
         "comparable-among-three",
+        "range-before-duplicate",
+        "duplicate-before-range",
+        "range-before-negative",
+        "negative-before-range",
+        "first-of-two-duplicates",
+        "duplicate-in-iterator",
+        "duplicate-before-comparable",
+        "range-before-comparable",
+        "comparable-pair",
+        "least-upper-element",
+        "least-lower-element",
+        "lower-element-before-its-upper",
     ],
 )
 def test_embed_rejects_bad_antichain(poset, antichain, message):
-    with pytest.raises(ValueError, match=message) as info:
+    with pytest.raises(ValueError, match=f"^{message}$") as info:
         embed_with_antichain(poset, antichain)
     assert type(info.value) is ValueError
 

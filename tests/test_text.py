@@ -21,7 +21,13 @@ from posetcube import CycleError, Poset, random_poset, write_poset
 from posetcube.chainfamily import SetFamily, chain_family, write_family
 from posetcube.dilworth import ChainDecomposition, min_chain_decomposition
 from posetcube.errors import PosetCubeError
-from posetcube.poset import Embedding, masks_to_text, parse_poset, transitive_closure
+from posetcube.poset import (
+    Embedding,
+    masks_from_text,
+    masks_to_text,
+    parse_poset,
+    transitive_closure,
+)
 from posetcube.universal import build_universal, embed_with_branch, write_embedding
 from helpers import (
     mask_to_text_reference,
@@ -283,6 +289,61 @@ class TestWriters:
         masks = (1 << position, 0, (1 << position) | 1, 1 << position)
         assert list(masks_to_text(masks)) == list(map(mask_to_text_reference, masks))
         assert_same_text(Embedding(position + 1, masks))
+
+    @pytest.mark.parametrize(
+        "masks",
+        [
+            (0x01_0000_0001, 0xFF_00FF_00FF, 1 << 40 | 1, 0x80 << 64 | 0x01 << 8),
+            ((1 << 64) - 1, 0xFF, 0xFF << 8, 0xFF_00FF, 0xFF << 56 | 0x80, (1 << 65) - 1),
+            (0, 1, 1 << 9, 1 << 17 | 1, 1 << 100, (1 << 101) - 1, 0xFF << 24, 0),
+        ],
+        ids=["zero-bytes-between", "full-bytes", "rows-end-in-different-blocks"],
+    )
+    def test_byte_patterns(self, masks):
+        texts = list(masks_to_text(masks))
+        assert texts == list(map(mask_to_text_reference, masks))
+        assert masks_from_text(texts, 101) == masks
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_zero_and_full_bytes_in_random_masks(self, seed):
+        # every byte of every mask is zero, 0xFF or random, in random order
+        rng = random.Random(seed)
+        masks = []
+        for _ in range(40):
+            size = rng.randrange(1, 20)
+            pieces = [rng.choice((0, 0xFF, rng.getrandbits(8))) for _ in range(size)]
+            masks.append(int.from_bytes(bytes(pieces), "little"))
+        texts = list(masks_to_text(masks))
+        assert texts == list(map(mask_to_text_reference, masks))
+        assert masks_from_text(texts, 160) == tuple(masks)
+
+    def test_more_rows_than_one_canonical_check_slice(self):
+        # 300 sets: the canonical-form check renders them in two calls
+        rng = random.Random(300)
+        masks = tuple(rng.getrandbits(rng.randrange(300)) & rng.getrandbits(300) for _ in range(300))
+        texts = list(masks_to_text(masks))
+        assert texts == list(map(mask_to_text_reference, masks))
+        assert masks_from_text(texts, 300) == masks
+        family = SetFamily(300, tuple(sorted(set(masks))))
+        assert write_family(family) == write_family_reference(family)
+
+    def test_texts_one_at_a_time(self):
+        rng = random.Random(7)
+        masks = [rng.getrandbits(rng.randrange(200)) for _ in range(50)]
+        expected = list(masks_to_text(masks))
+        first, second = masks_to_text(masks), masks_to_text(masks[::-1])
+        taken = []
+        for _ in masks:  # two calls in flight, consumed in turn
+            taken.append((next(first), next(second)))
+        assert [a for a, _ in taken] == expected
+        assert [b for _, b in taken] == expected[::-1]
+        assert next(first, None) is None and next(second, None) is None
+
+    @pytest.mark.parametrize("seed", range(1, 6))
+    @pytest.mark.parametrize("n, q", [(200, 0.3), (600, 3 / 600)], ids=["dense", "sparse"])
+    def test_benchmark_shapes(self, n, q, seed):
+        emb, _ = embed_with_branch(build_universal(n), random_poset(n, q, seed))
+        assert write_embedding(emb) == write_embedding_reference(emb)
 
     @pytest.mark.parametrize("m, count", [(0, 0), (0, 1), (5, 0), (5, 3), (65536, 2)])
     def test_empty_images(self, m, count):
