@@ -14,9 +14,11 @@ masks from classify, and the label block is listed straight from them.
 from __future__ import annotations
 
 import math
-from itertools import islice
+from functools import reduce
+from itertools import compress, islice
+from operator import or_
 
-from .poset import Embedding, Poset, bit_indices, transpose
+from .poset import Embedding, Poset, _bits, _selectors, bit_indices, transpose
 
 
 def min_ell(a: int) -> int:
@@ -52,20 +54,26 @@ def classify(p: Poset, antichain: frozenset[int] | tuple[int, ...]) -> tuple[int
     elements would be comparable through it.  Raises ValueError on an
     element out of range or listed twice, and on a comparable pair.
     """
-    chosen = 0
-    for y in antichain:
-        if not 0 <= y < p.n:
-            raise ValueError(f"element {y} outside poset range")
-        if chosen >> y & 1:
-            raise ValueError(f"element {y} listed twice")
-        chosen |= 1 << y
+    elements = tuple(antichain)
+    # accept in C; the loops only name the first offender
+    fits = not elements or (min(elements) >= 0 and max(elements) < p.n)
+    chosen = _bits(elements) if fits else 0
+    if chosen.bit_count() != len(elements):
+        chosen = 0
+        for y in elements:
+            if not 0 <= y < p.n:
+                raise ValueError(f"element {y} outside poset range")
+            if chosen >> y & 1:
+                raise ValueError(f"element {y} listed twice")
+            chosen |= 1 << y
     succ, pred = p.succ, p.pred
-    below = 0
-    for y in bit_indices(chosen):
-        if succ[y] & chosen:
-            other = next(bit_indices(succ[y] & chosen))
-            raise ValueError(f"elements {y} and {other} are comparable")
-        below |= pred[y]
+    selectors = _selectors(chosen)
+    if reduce(or_, compress(succ, selectors), 0) & chosen:
+        for y in bit_indices(chosen):
+            if succ[y] & chosen:
+                other = next(bit_indices(succ[y] & chosen))
+                raise ValueError(f"elements {y} and {other} are comparable")
+    below = reduce(or_, compress(pred, selectors), 0)
     return below, chosen, ((1 << p.n) - 1) ^ below ^ chosen
 
 
@@ -94,11 +102,13 @@ def embed_with_antichain(
     ell = min_ell(a)
     if a < 2:
         raise ValueError("antichain embedding needs at least two elements")
-    rows = [0] * p.n
-    for y, label in zip(bit_indices(chosen), colex_half_subsets(ell, a)):
+    n, succ, pred = p.n, p.succ, p.pred
+    rows = [0] * n
+    for y, label in zip(compress(range(n), _selectors(chosen)), colex_half_subsets(ell, a)):
         rows[y] = label
-    succ, pred = p.succ, p.pred
-    columns = [succ[x] | 1 << x for x in bit_indices(below)]
+    columns = [succ[x] | 1 << x for x in compress(range(n), _selectors(below))]
     columns += [above | column for column in transpose(rows, ell)]
-    columns += [(chosen | above) & ~(pred[z] | 1 << z) for z in bit_indices(above)]
-    return Embedding(len(columns), transpose(columns, p.n))
+    columns += [
+        (chosen | above) & ~(pred[z] | 1 << z) for z in compress(range(n), _selectors(above))
+    ]
+    return Embedding(len(columns), transpose(columns, n))

@@ -14,7 +14,7 @@ import re
 from collections.abc import Iterable, Iterator, Sequence
 from functools import cache, cached_property, reduce
 from itertools import chain, compress, repeat
-from operator import and_, getitem, lshift, or_, rshift
+from operator import and_, lshift, or_, rshift
 
 from .errors import CycleError, FormatError, SizeMismatchError, VerificationError
 
@@ -98,43 +98,38 @@ def _selectors(bits: int) -> bytes:
 
 @cache
 def _block_positions(b: int) -> tuple[str, ...]:
-    """The text of ground positions 8b+1..8b+8, those of byte block b."""
-    return tuple(map(str, range(8 * b + 1, 8 * b + 9)))
+    """The text of ground positions 8b+1..8b+8, those of byte block b, each with a comma."""
+    return tuple(f"{k}," for k in range(8 * b + 1, 8 * b + 9))
 
 
 def masks_to_text(masks: Sequence[int]) -> Iterator[str]:
     """The one set-text renderer: each bitmask as 1-indexed elements, or ``-``.
 
-    The masks are packed into little-endian bytes, byte b holding positions
-    8b+1..8b+8 (as in _byte_columns).  The text of each byte value
-    that occurs in block b is built once, and each mask joins those of its
-    nonzero bytes, so no Python step runs per set bit.  The texts are
+    The masks are read one byte block at a time (_byte_columns), block b
+    holding positions 8b+1..8b+8 of every mask.  The text of each byte
+    value that occurs in the block, its positions each followed by a
+    comma, is built once (the zero byte's is empty), and one C-level map
+    turns the block into the texts of its bytes.  A mask's text joins the
+    texts of its bytes, one from each block's map, and drops the last
+    comma, so no Python step runs per set bit or per byte.  The texts are
     yielded one at a time: a caller never holds two copies of the text.
     """
     width = max(masks, default=0).bit_length()
     if width == 0:
         return repeat("-", len(masks))
-    size = (width + 7) // 8
-    data = _packed(masks, size)
-    tables = []
-    for b in range(size):
+    texts = []
+    for b, block in enumerate(_byte_columns(masks, width)):
         table = [""] * 256
         positions = _block_positions(b)
-        for value in set(data[b::size]):
-            table[value] = ",".join(compress(positions, _SELECTORS[value]))
-        tables.append(table)
-    rows = (data[i : i + size] for i in range(0, len(data), size))
-    return (",".join(filter(None, map(getitem, tables, row))) or "-" for row in rows)
+        for value in set(block):
+            table[value] = "".join(compress(positions, _SELECTORS[value]))
+        texts.append(map(table.__getitem__, block))
+    return ("".join(row)[:-1] or "-" for row in zip(*texts))
 
 
 def _keys(rows: Iterable[int], size: int) -> Iterator[bytes]:
     """Each row as size little-endian bytes."""
     return map(int.to_bytes, rows, repeat(size), repeat("little"))
-
-
-def _packed(rows: Sequence[int], size: int) -> bytes:
-    """The rows as size little-endian bytes each, concatenated in row order."""
-    return b"".join(_keys(rows, size))
 
 
 def _byte_columns(rows: Sequence[int], width: int) -> list[bytes]:
@@ -145,7 +140,7 @@ def _byte_columns(rows: Sequence[int], width: int) -> list[bytes]:
     width bits.
     """
     size = (width + 7) // 8
-    data = _packed(rows, size)
+    data = b"".join(_keys(rows, size))
     return [data[b::size] for b in range(size)]
 
 
@@ -304,9 +299,11 @@ class Embedding(Frozen):
     def __init__(self, m: int, masks: tuple[int, ...]) -> None:
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "masks", masks)
-        for j, bits in enumerate(self.masks):
-            if bits < 0 or bits >> self.m:
-                raise ValueError(f"image {j} does not fit ground set [{self.m}]")
+        # accept in C; the loop only names the first offender
+        if self.masks and (min(self.masks) < 0 or max(self.masks) >> self.m):
+            for j, bits in enumerate(self.masks):
+                if bits < 0 or bits >> self.m:
+                    raise ValueError(f"image {j} does not fit ground set [{self.m}]")
 
     @property
     def n(self) -> int:
